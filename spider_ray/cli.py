@@ -269,9 +269,9 @@ def main(argv=None) -> int:
         fmt = "raw" if args.output_html else args.return_format
         content_by_url: dict[str, str] = {}
         if tbl is not None and fmt != "text":
-            # distributed transform over the visited pages (pruned corpus
-            # read + actor-pool converter); "text" reuses the crawl's own
-            # extracted column
+            # distributed transform over the visited pages (corpus read
+            # fused with the filter + converter tasks); "text" reuses the
+            # crawl's own extracted column
             from .markdown import transform_corpus
 
             ct = transform_corpus(args.corpus, fmt, urls=set(result.visited))
@@ -303,6 +303,7 @@ def main(argv=None) -> int:
     summary = {
         "visited": len(result.visited),
         "waves": len(result.metrics),
+        "seen_shards": result.seen_shards,
         "out_dir": result.out_dir,
         "stopped": result.stopped,
     }

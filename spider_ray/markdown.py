@@ -548,11 +548,11 @@ def transform_html(html: bytes | str, return_format: str = "markdown") -> str:
 
 
 class TransformStage:
-    """Actor-pool ``map_batches`` stage: (url, html) → (url, content).
+    """Stateless ``map_batches`` callable: (url, html) → (url, content).
 
-    The format is fixed per actor in ``__init__``; bodies decode once per
-    row and the converter is a single pass — the Ray-side plumbing for the
-    scrape transform surface."""
+    Its only state is the format; bodies decode once per row and the
+    converter is a single pass — the Ray-side plumbing for the scrape
+    transform surface."""
 
     def __init__(self, return_format: str = "markdown",
                  url_col: str = "url", html_col: str = "html"):
@@ -576,64 +576,43 @@ class TransformStage:
         )
 
 
-def transform_corpus(corpus_dir: str, return_format: str = "markdown",
-                     urls: set[str] | None = None, concurrency=None):
-    """Distributed transform of a page corpus: pruned Parquet read →
-    optional visited-set filter (broadcast once) → actor-pool transform.
-    Returns a Dataset of (url, content)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-    import ray.data
+class CorpusTransformStage(TransformStage):
+    """:class:`TransformStage` over raw corpus rows (url, html, status): keeps
+    the pages — status 200, not robots.txt or sitemap.xml — and, given
+    ``urls``, only those urls, then converts them."""
 
-    ds = ray.data.read_parquet(corpus_dir, columns=["url", "html", "status"])
+    def __init__(self, return_format: str = "markdown", urls=None):
+        import pyarrow as pa
 
-    def drop_non_pages(batch: pa.Table) -> pa.Table:
+        super().__init__(return_format)
+        self.urls = None if urls is None else pa.array(sorted(urls), pa.string())
+
+    def __call__(self, batch):
         import pyarrow.compute as pc
 
+        url = batch.column("url")
         keep = pc.and_(
             pc.equal(batch.column("status"), 200),
             pc.invert(
-                pc.or_(
-                    pc.ends_with(batch.column("url"), "robots.txt"),
-                    pc.ends_with(batch.column("url"), "sitemap.xml"),
-                )
+                pc.or_(pc.ends_with(url, "robots.txt"), pc.ends_with(url, "sitemap.xml"))
             ),
         )
-        return batch.filter(keep).select(["url", "html"])
+        if self.urls is not None:
+            keep = pc.and_(keep, pc.is_in(url, value_set=self.urls))
+        return super().__call__(batch.filter(keep))
 
-    ds = ds.map_batches(drop_non_pages, batch_format="pyarrow")
-    if urls is not None:
-        urls_ref = ray.put(np.array(sorted(urls)))
 
-        class VisitedFilter:
-            def __init__(self):
-                self.urls = ray.get(urls_ref)
+def transform_corpus(corpus_dir: str, return_format: str = "markdown",
+                     urls: set[str] | None = None):
+    """Distributed transform of a page corpus → Dataset of (url, content).
 
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                mask = np.isin(
-                    np.asarray(batch.column("url"), dtype=object), self.urls
-                )
-                return batch.filter(pa.array(mask))
+    One stateless task per read block filters and converts it
+    (:class:`CorpusTransformStage`), fused with the Parquet read.  Tasks, not
+    an actor pool: a pool holds its CPUs for the whole job, so on a small
+    session (under about 3.25 CPUs for 4 × 0.5-CPU converters plus a
+    0.25-CPU filter) the 1-CPU read the pool waits on never scheduled."""
+    import ray.data
 
-        from .poolsize import autoscale_pool
-
-        # fractional CPUs: two actor pools + read tasks must coexist on
-        # small sessions without starving the streaming executor
-        ds = ds.map_batches(
-            VisitedFilter,
-            batch_format="pyarrow",
-            concurrency=autoscale_pool(1),
-            num_cpus=0.25,
-        )
-    from .poolsize import fixed_pool
-
-    # fixed fractional pool: the converter is the dominant cost; the
-    # autoscaler's ramp measured 23.4 s vs 12.0 s fixed at sf0.1/32
-    return ds.map_batches(
-        TransformStage,
-        fn_constructor_args=(return_format,),
-        batch_format="pyarrow",
-        concurrency=concurrency or fixed_pool(),
-        num_cpus=0.5,
+    return ray.data.read_parquet(corpus_dir, columns=["url", "html", "status"]).map_batches(
+        CorpusTransformStage(return_format, urls), batch_format="pyarrow"
     )

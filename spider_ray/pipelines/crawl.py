@@ -3,7 +3,8 @@
 Architecture (SURVEY.md §7.0): one crawl = repeated application of a wave
 pipeline over Datasets, with small stateful services:
 
-* ``UrlSeen`` actor shards (set + bloom)          — visited membership
+* ``UrlSeen`` shards (set + bloom)                — visited membership:
+  ``min(8, cluster CPUs)`` actors, or in the driver on a one-CPU session
 * driver-held ``Budget`` + per-host politeness    — inherently ordered fold
   (metadata-only, mirroring spider's driver-held ``Website`` state)
 * everything heavy — the corpus-join fetch, HTML parse / link extraction /
@@ -61,6 +62,7 @@ class CrawlResult:
     out_dir: str | None = None
     seen_keys: set[str] = field(default_factory=set)  # authoritative final seen set
     stopped: bool = False  # True when a CrawlControl shutdown ended the crawl
+    seen_shards: int = 0  # seen/admission shards used; 1 = held in the driver
 
     @property
     def visited_set(self) -> set[str]:
@@ -248,6 +250,8 @@ def _flatten_block_sharded_impl(tbl, local_rows, ranks, num_shards):
             "rank": pa.array(rank64[keep], pa.int64()),
         }
     )
+    if num_shards == 1:
+        return out, total
     hosts = hosts_of_keys_arrow(out.column("key"))
     enc = pc.dictionary_encode(hosts)
     if isinstance(enc, pa.ChunkedArray):
@@ -298,7 +302,7 @@ class RayCrawler:
         corpus_dir: str,
         out_dir: str | None = None,
         ckpt_dir: str | None = None,
-        num_seen_shards: int = 8,
+        num_seen_shards: int | None = None,
         parse_batch_size: int = 128,
         parse_concurrency: int | None = None,
         keep_pages: bool = True,
@@ -314,6 +318,9 @@ class RayCrawler:
         self.corpus_dir = corpus_dir
         self.out_dir = out_dir
         self.ckpt_dir = ckpt_dir
+        # None = resolved per crawl (_resolve_seen_shards); the resolved
+        # count is kept in num_seen_shards
+        self._requested_seen_shards = num_seen_shards
         self.num_seen_shards = num_seen_shards
         self.parse_batch_size = parse_batch_size
         self.parse_concurrency = parse_concurrency
@@ -629,14 +636,34 @@ class RayCrawler:
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    def _find_resume_manifest(self) -> dict | None:
+    def _resolve_seen_shards(self, resume: bool) -> int:
+        """Fix this crawl's seen/admission shard count: an explicit
+        ``num_seen_shards``; else, on resume, the checkpoint's own count (its
+        seen files are routed by it, so a checkpoint moves between session
+        sizes); else ``min(8, cluster CPUs)``.  One shard keeps the seen state
+        in the driver.  An explicit count that disagrees with the checkpoint
+        fails the config-hash check in :meth:`_find_resume_manifest`."""
+        from ..poolsize import seen_shards
+
+        n = self._requested_seen_shards
+        if n is None and resume:
+            n = (self._read_manifest() or {}).get("num_seen_shards")
+        self.num_seen_shards = n if n is not None else seen_shards()
+        return self.num_seen_shards
+
+    def _read_manifest(self) -> dict | None:
         if not self.ckpt_dir:
             return None
         mpath = os.path.join(self.ckpt_dir, "manifest.json")
         if not os.path.exists(mpath):
             return None
         with open(mpath) as f:
-            manifest = json.load(f)
+            return json.load(f)
+
+    def _find_resume_manifest(self) -> dict | None:
+        manifest = self._read_manifest()
+        if manifest is None:
+            return None
         stored = manifest.get("config_hash")
         if stored is not None and stored != self._config_hash():
             raise ValueError(
@@ -649,10 +676,9 @@ class RayCrawler:
 
     def _restore(self, upto_wave: int, seen, budget, signatures, result: CrawlResult):
         """Rebuild state from checkpoints of waves 0..upto_wave."""
-        mpath = os.path.join(self.ckpt_dir, "manifest.json")
-        if os.path.exists(mpath):
-            with open(mpath) as f:
-                self._restore_redirect_state(json.load(f))
+        manifest = self._read_manifest()
+        if manifest is not None:
+            self._restore_redirect_state(manifest)
         per_shard: list[list[str]] = [[] for _ in range(self.num_seen_shards)]
         for w in range(upto_wave + 1):
             wdir = os.path.join(self.ckpt_dir, f"wave_{w:05d}")
@@ -1082,7 +1108,8 @@ class RayCrawler:
     def _run_fast_sharded(self, resume: bool = False) -> CrawlResult:
         """Fast-path crawl with SHARDED admission: the per-wave candidate
         sort/dedup/score/seen fold runs inside ``num_seen_shards`` actors
-        that also own the seen-set partitions (zero seen round-trips); the
+        that also own the seen-set partitions (zero seen round-trips), or,
+        at one shard, in the driver on fetched flatten parts; the
         driver's per-wave serial work is only the O(admitted) k-way merge
         and the fetch descriptor split.  Produces EXACTLY the same admitted
         order as the driver fold (parity-tested)."""
@@ -1092,7 +1119,8 @@ class RayCrawler:
 
         t_start = _time.monotonic()
         config = self.config
-        result = CrawlResult(out_dir=self.out_dir)
+        result = CrawlResult(out_dir=self.out_dir, seen_shards=self._resolve_seen_shards(resume))
+        manifest = self._find_resume_manifest() if resume else None
         pool = AdmissionPool(
             self.num_seen_shards,
             spill_threshold=self.seen_spill_threshold,
@@ -1101,8 +1129,6 @@ class RayCrawler:
         signatures = SigSet()
         budget = Budget(config.budget, depth_distance_for(config))
         want_cand = bool(self.ckpt_dir)
-
-        manifest = self._find_resume_manifest() if resume else None
         resume_wave = manifest["wave"] if manifest else None
 
         if resume_wave is not None:
@@ -1215,7 +1241,7 @@ class RayCrawler:
 
         import time as _time
 
-        result = CrawlResult(out_dir=self.out_dir)
+        result = CrawlResult(out_dir=self.out_dir, seen_shards=self._resolve_seen_shards(False))
         seen = UrlSeen(self.num_seen_shards, spill_threshold=self.seen_spill_threshold)
         gate = HostGate(self.num_seen_shards, adaptive=self.adaptive_politeness)
         signatures = SigSet()
@@ -1317,7 +1343,8 @@ class RayCrawler:
 
         t_start = _time.monotonic()
         config = self.config
-        result = CrawlResult(out_dir=self.out_dir)
+        result = CrawlResult(out_dir=self.out_dir, seen_shards=self._resolve_seen_shards(resume))
+        manifest = self._find_resume_manifest() if resume else None
         seen = UrlSeen(self.num_seen_shards, spill_threshold=self.seen_spill_threshold)
         budget = Budget(config.budget, depth_distance_for(config))
         signatures = SigSet()
@@ -1329,7 +1356,6 @@ class RayCrawler:
         def host_delay_ms(host):
             return robots_delays.get(host, config.delay_ms)
 
-        manifest = self._find_resume_manifest() if resume else None
         resume_wave = manifest["wave"] if manifest else None
         fast = self._simple_config()
         resume_flat = None

@@ -6,21 +6,40 @@ read tasks into deadlock on a small session.  Every stateful
 ``map_batches`` stage therefore uses an AUTOSCALING pool ``(min_actors,
 max(floor, cluster CPUs))`` — Ray Data grows the pool only while upstream
 keeps it busy, so small sessions stay deadlock-free and big clusters get
-a pool that tracks their size.
+a pool that tracks their size.  The crawl's seen/admission shards follow
+the same rule, capped at 8 (``seen_shards``).
 """
 
 from __future__ import annotations
 
 
+def cluster_cpus(default: int) -> int:
+    """The Ray cluster's CPU count, or ``default`` when Ray is not
+    initialised (or the cluster reports no CPU resource)."""
+    import ray
+    from ray.exceptions import RaySystemError
+
+    try:
+        return int(ray.cluster_resources().get("CPU", default))
+    except RaySystemError:  # "Ray has not been started yet"
+        return default
+
+
+def seen_shards() -> int:
+    """Seen/admission shard count for a new crawl: ``min(8, cluster CPUs)``.
+    One shard means the seen state stays in the driver process (no actor);
+    on a one-CPU session eight actor processes would only time-slice the
+    same core, and starting them costs more than the whole crawl."""
+    import ray
+
+    if not ray.is_initialized():
+        ray.init()  # what the first actor or task would do anyway
+    return max(1, min(8, cluster_cpus(1)))
+
+
 def autoscale_pool(min_actors: int = 1, floor: int = 8) -> tuple[int, int]:
     """``(min_actors, max(floor, cluster CPUs))`` for ``concurrency=``."""
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", floor))
-    except Exception:
-        cpus = floor
-    return (min_actors, max(floor, cpus))
+    return (min_actors, max(floor, cluster_cpus(floor)))
 
 
 def coarse_fanout(floor: int = 64, per_cpu: int = 2, ceil: int = 1 << 14) -> int:
@@ -45,13 +64,7 @@ def coarse_fanout(floor: int = 64, per_cpu: int = 2, ceil: int = 1 << 14) -> int
     if forced:
         target = int(forced)
     else:
-        try:
-            import ray
-
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        target = max(floor, per_cpu * cpus)
+        target = max(floor, per_cpu * cluster_cpus(8))
     p = 1
     while p < target:
         p <<= 1
@@ -65,10 +78,4 @@ def fixed_pool(floor: int = 4) -> int:
     sf0.1 corpus parse: the autoscaler's ramp-up dominates 10-20 s jobs
     (edge extraction 13.2 s -> 7.8 s, markdown transform 23.4 s -> 12.0 s
     with a fixed fractional pool)."""
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", floor))
-    except Exception:
-        cpus = floor
-    return max(floor, cpus)
+    return max(floor, cluster_cpus(floor))

@@ -20,6 +20,10 @@ centrally.  This pool moves that work into ``num_shards`` stateful actors:
 Dedup correctness: a url's key always hashes to one shard (key → host →
 shard), so shard-local first-push dedup by global rank equals global
 first-push dedup.
+
+At one shard (a one-CPU session, ``poolsize.seen_shards``) the pool starts no
+actor: the driver fetches the flatten parts and runs the same
+``AdmissionState.finalize_wave`` on the shard it holds.
 """
 
 from __future__ import annotations
@@ -30,69 +34,28 @@ import ray
 
 from ..hashing import stable_hash_str
 from ..urlnorm import host_of_key, hosts_of_keys_arrow
-from .spillseen import SpillableSeenSet
+from .seen import SeenShard, ShardSet
 
 
-@ray.remote
-class AdmissionShard:
-    """One admission + seen shard (hosts with ``hash(host) % N == shard_id``).
+class AdmissionState(SeenShard):
+    """One admission + seen shard (hosts with ``hash(host) % N == shard_id``):
+    the seen partition and API of :class:`SeenShard` plus the wave fold.
+    ``AdmissionShard`` wraps it with ``ray.remote``; a one-shard pool holds
+    it in the driver."""
 
-    The seen partition is a :class:`SpillableSeenSet` — in-memory set until
-    ``spill_threshold`` keys, then on-disk sorted digest runs + bloom
-    negative cache (state/spillseen.py); None = never spill."""
-
-    def __init__(
-        self,
-        shard_id: int,
-        spill_threshold: int | None = None,
-    ) -> None:
-        self.shard_id = shard_id
-        self.seen = SpillableSeenSet(spill_threshold)
-        self._increment: list[str] = []
+    def __init__(self, shard_id: int, spill_threshold: int | None = None) -> None:
+        super().__init__(shard_id, spill_threshold)
         self._parts: list[pa.Table] = []  # current wave's candidate parts
-
-    # -- seen API (UrlSeenShard-compatible subset) --------------------------
-
-    def contains_batch(self, keys) -> np.ndarray:
-        if not isinstance(keys, list):
-            keys = keys.to_pylist()
-        seen = self.seen
-        return np.fromiter((k in seen for k in keys), dtype=bool, count=len(keys))
-
-    def insert_batch(self, keys) -> int:
-        if not isinstance(keys, list):
-            keys = keys.to_pylist()
-        add = self.seen.add
-        inc = self._increment
-        added = 0
-        for k in keys:
-            if add(k):
-                inc.append(k)
-                added += 1
-        return added
-
-    def take_increment(self) -> list[str]:
-        inc, self._increment = self._increment, []
-        return inc
-
-    def size(self) -> int:
-        return len(self.seen)
-
-    def hot_size(self) -> int:
-        return self.seen.hot_size()
-
-    def dump(self) -> list[str]:
-        return self.seen.dump()
-
-    def restore(self, keys: list[str]) -> None:
-        self.seen.update(keys)
 
     # -- wave admission -----------------------------------------------------
 
     def accept(self, *parts) -> None:
         """Queue candidate parts (columns url, key, rank) for the current
-        wave.  Called with object refs — Ray resolves them here."""
+        wave.  Called with object refs: Ray resolves them for an actor; the
+        in-driver shard fetches them here."""
         for part in parts:
+            if isinstance(part, ray.ObjectRef):
+                part = ray.get(part)
             if part is not None and part.num_rows:
                 self._parts.append(part)
 
@@ -175,7 +138,10 @@ class AdmissionShard:
         return admitted, cand_urls, prior
 
 
-class AdmissionPool:
+AdmissionShard = ray.remote(AdmissionState)
+
+
+class AdmissionPool(ShardSet):
     """Driver facade: UrlSeen-compatible seen API + the sharded wave fold."""
 
     def __init__(
@@ -184,51 +150,22 @@ class AdmissionPool:
         spill_threshold: int | None = None,
         stage_increments: bool = False,
     ) -> None:
-        self.num_shards = num_shards
-        self.shards = [
-            AdmissionShard.remote(i, spill_threshold) for i in range(num_shards)
-        ]
+        super().__init__(AdmissionState, AdmissionShard, num_shards, spill_threshold)
         self._accept_futs: list = []
         self._pending_parts: list[list] = [[] for _ in range(num_shards)]
         # checkpointing crawls drain each shard's increment at finalize entry
         # (keys of waves ≤ k) and stage it here for wave k's checkpoint —
-        # see AdmissionShard.finalize_wave(drain_increment=...)
+        # see AdmissionState.finalize_wave(drain_increment=...)
         self.stage_increments = stage_increments
         self._staged_incs: list[list[str]] = [[] for _ in range(num_shards)]
 
     # -- seen facade (host-routed, mirrors UrlSeen fast mode) ---------------
 
-    def _route(self, keys: list[str], hosts: list[str]):
-        buckets: list[list[tuple[int, str]]] = [[] for _ in range(self.num_shards)]
-        shard_of_host: dict[str, int] = {}
-        for idx, (k, h) in enumerate(zip(keys, hosts)):
-            s = shard_of_host.get(h)
-            if s is None:
-                s = shard_of_host[h] = stable_hash_str(h) % self.num_shards
-            buckets[s].append((idx, k))
-        return buckets
-
     def contains_batch(self, keys: list[str], hosts: list[str]) -> list[bool]:
-        buckets = self._route(keys, hosts)
-        futures = [
-            (bucket, shard.contains_batch.remote([k for _, k in bucket]))
-            for shard, bucket in zip(self.shards, buckets)
-            if bucket
-        ]
-        out = [False] * len(keys)
-        for bucket, fut in futures:
-            for (idx, _), hit in zip(bucket, ray.get(fut)):
-                out[idx] = hit
-        return out
+        return self._contains(keys, hosts)
 
     def insert_batch(self, keys: list[str], hosts: list[str]) -> int:
-        buckets = self._route(keys, hosts)
-        futs = [
-            shard.insert_batch.remote([k for _, k in bucket])
-            for shard, bucket in zip(self.shards, buckets)
-            if bucket
-        ]
-        return sum(ray.get(futs)) if futs else 0
+        return self._insert(keys, hosts)
 
     def stage_pending_increments(self) -> None:
         """Drain shard-side increments into the staged buffer so the NEXT
@@ -241,7 +178,7 @@ class AdmissionPool:
         hold no in-flight next-wave admissions."""
         if not self.stage_increments:
             return
-        for s, inc in enumerate(ray.get([s.take_increment.remote() for s in self.shards])):
+        for s, inc in enumerate(self._call("take_increment")):
             if inc:
                 self._staged_incs[s].extend(inc)
 
@@ -255,26 +192,7 @@ class AdmissionPool:
                 [] for _ in range(self.num_shards)
             ]
             return staged
-        return ray.get([s.take_increment.remote() for s in self.shards])
-
-    def restore(self, per_shard_keys: list[list[str]]) -> None:
-        ray.get(
-            [s.restore.remote(keys) for s, keys in zip(self.shards, per_shard_keys) if keys]
-        )
-
-    def size(self) -> int:
-        return sum(ray.get([s.size.remote() for s in self.shards]))
-
-    def dump(self) -> set[str]:
-        out: set[str] = set()
-        for keys in ray.get([s.dump.remote() for s in self.shards]):
-            out.update(keys)
-        return out
-
-    def shutdown(self) -> None:
-        for s in self.shards:
-            ray.kill(s)
-        self.shards = []
+        return self._call("take_increment")
 
     # -- wave fold ----------------------------------------------------------
 
@@ -308,10 +226,10 @@ class AdmissionPool:
             self._pending_parts[s].append(ref)
 
     def _flush_accepts(self) -> None:
-        for s, parts in enumerate(self._pending_parts):
-            if parts:
-                # varargs so Ray resolves the refs shard-side
-                self._accept_futs.append(self.shards[s].accept.remote(*parts))
+        # varargs so Ray resolves the refs shard-side
+        self._accept_futs += self._call_async(
+            "accept", [tuple(parts) if parts else None for parts in self._pending_parts]
+        )
         self._pending_parts = [[] for _ in range(self.num_shards)]
 
     def finalize_wave(self, depth_distance: int, wave: int, return_candidates: bool = False):
@@ -326,13 +244,10 @@ class AdmissionPool:
         if self._accept_futs:
             ray.get(self._accept_futs)
             self._accept_futs = []
-        results = ray.get(
-            [
-                s.finalize_wave.remote(
-                    depth_distance, wave, return_candidates, self.stage_increments
-                )
-                for s in self.shards
-            ]
+        results = self._call(
+            "finalize_wave",
+            [(depth_distance, wave, return_candidates, self.stage_increments)]
+            * self.num_shards,
         )
         if self.stage_increments:
             for s, r in enumerate(results):

@@ -8,6 +8,12 @@ pipeline.  Each shard holds a Python set (authoritative) fronted by a bloom
 filter; the shard API is batch-only so a wave's membership check is
 ``num_shards`` actor round-trips, not per-URL calls.
 
+The shard count comes from the session (``poolsize.seen_shards``:
+``min(8, cluster CPUs)``).  At one shard there is no actor: the facade holds
+the same :class:`SeenShard` object in the driver process and calls it
+directly — on a one-CPU session an actor only adds its start-up and a
+round-trip per call to the same core's work.
+
 Checkpointing is incremental: ``take_increment()`` returns only URLs inserted
 since the last checkpoint (wave lineage — resume unions increments of waves
 ≤ k).  The per-shard backing store can later become an on-disk sorted-run +
@@ -16,36 +22,34 @@ bloom without changing this API (SURVEY.md §7.3 "10¹⁰-scale seen-set").
 
 from __future__ import annotations
 
+import numpy as np
 import ray
 
 from ..hashing import stable_hash_str
 from .spillseen import SpillableSeenSet
 
 
-@ray.remote
-class UrlSeenShard:
-    """One seen shard.  The backing store is a :class:`SpillableSeenSet`:
-    a plain in-memory set until ``spill_threshold`` keys, then an on-disk
-    sorted-digest-run tier fronted by a bloom negative cache — spider's
-    memory→SQLite spill (``website.rs:1718-1749``) re-expressed
-    (state/spillseen.py).  ``spill_threshold=None`` never spills."""
+class SeenShard:
+    """One seen shard's state.  The backing store is a
+    :class:`SpillableSeenSet`: a plain in-memory set until
+    ``spill_threshold`` keys, then an on-disk sorted-digest-run tier fronted
+    by a bloom negative cache — spider's memory→SQLite spill
+    (``website.rs:1718-1749``) re-expressed (state/spillseen.py).
+    ``spill_threshold=None`` never spills.
 
-    def __init__(
-        self,
-        shard_id: int,
-        bloom_capacity: int = 1_000_000,
-        spill_threshold: int | None = None,
-    ) -> None:
+    A plain class: ``UrlSeenShard`` (and, through a subclass,
+    ``AdmissionShard``) wrap it with ``ray.remote``, and a one-shard facade
+    holds it in the driver."""
+
+    def __init__(self, shard_id: int, spill_threshold: int | None = None) -> None:
         self.shard_id = shard_id
         self.seen = SpillableSeenSet(spill_threshold)
         self._increment: list[str] = []
 
-    def contains_batch(self, keys) -> "object":
+    def contains_batch(self, keys) -> np.ndarray:
         """keys: list[str] or pyarrow.Array (worker-side to_pylist keeps the
         string materialization off the driver).  Returns a numpy bool array.
         """
-        import numpy as np
-
         if not isinstance(keys, list):
             keys = keys.to_pylist()
         seen = self.seen
@@ -81,26 +85,57 @@ class UrlSeenShard:
         self.seen.update(keys)
 
 
-class UrlSeen:
-    """Driver-side facade over the shard pool (batch fan-out/fan-in)."""
+UrlSeenShard = ray.remote(SeenShard)
 
-    def __init__(
-        self,
-        num_shards: int = 8,
-        bloom_capacity: int = 1_000_000,
-        spill_threshold: int | None = None,
-    ) -> None:
+
+class ShardSet:
+    """The shards behind a seen facade: ``num_shards`` actors of
+    ``actor_cls``, or at one shard a ``state_cls`` object held in this
+    process (``local``; ``shards`` is then empty).  Every call goes through
+    :meth:`_call` / :meth:`_call_async`, so the facades have one code path
+    for both."""
+
+    def __init__(self, state_cls, actor_cls, num_shards: int, *args) -> None:
         self.num_shards = num_shards
-        self.shards = [
-            UrlSeenShard.options(name=None).remote(i, bloom_capacity, spill_threshold)
-            for i in range(num_shards)
+        self.local = state_cls(0, *args) if num_shards == 1 else None
+        self.shards = (
+            [] if self.local is not None
+            else [actor_cls.remote(i, *args) for i in range(num_shards)]
+        )
+
+    def _call_async(self, method: str, args_by_shard) -> list:
+        """Call ``method(*args)`` on each shard whose ``args_by_shard``
+        entry is not None → the actor futures.  The in-driver shard runs
+        the call now and returns no future."""
+        if self.local is not None:
+            if args_by_shard[0] is not None:
+                getattr(self.local, method)(*args_by_shard[0])
+            return []
+        return [
+            getattr(shard, method).remote(*args)
+            for shard, args in zip(self.shards, args_by_shard)
+            if args is not None
         ]
+
+    def _call(self, method: str, args_by_shard=None) -> list:
+        """Like :meth:`_call_async` but waits → one result per shard (None
+        for a skipped shard).  ``args_by_shard=None`` calls every shard
+        with no arguments."""
+        if args_by_shard is None:
+            args_by_shard = [()] * self.num_shards
+        if self.local is not None:
+            args = args_by_shard[0]
+            return [None if args is None else getattr(self.local, method)(*args)]
+        got = iter(ray.get(self._call_async(method, args_by_shard)))
+        return [None if args is None else next(got) for args in args_by_shard]
 
     def _route(self, keys: list[str], hosts: list[str] | None = None):
         """Shard routing.  When ``hosts`` is given, the routing key is the
         HOST hash — the same partitioning key as the corpus buckets and the
         politeness scheduler (one key reused across every stage); hashing is
         then amortized over unique hosts instead of per-URL."""
+        if self.num_shards == 1:
+            return [list(enumerate(keys))]
         buckets: list[list[tuple[int, str]]] = [[] for _ in range(self.num_shards)]
         if hosts is not None:
             shard_of_host: dict[str, int] = {}
@@ -114,76 +149,32 @@ class UrlSeen:
                 buckets[stable_hash_str(k) % self.num_shards].append((idx, k))
         return buckets
 
-    def contains_batch(self, keys: list[str], hosts: list[str] | None = None) -> list[bool]:
+    @staticmethod
+    def _bucket_args(buckets):
+        return [([k for _, k in b],) if b else None for b in buckets]
+
+    def _contains(self, keys: list[str], hosts: list[str] | None) -> list[bool]:
         buckets = self._route(keys, hosts)
-        futures = []
-        for shard, bucket in zip(self.shards, buckets):
-            if bucket:
-                futures.append((bucket, shard.contains_batch.remote([k for _, k in bucket])))
         out = [False] * len(keys)
-        for bucket, fut in futures:
-            for (idx, _), hit in zip(bucket, ray.get(fut)):
-                out[idx] = hit
+        for bucket, hits in zip(buckets, self._call("contains_batch", self._bucket_args(buckets))):
+            if hits is not None:
+                for (idx, _), hit in zip(bucket, hits):
+                    out[idx] = bool(hit)
         return out
 
-    def insert_batch(self, keys: list[str], hosts: list[str] | None = None) -> int:
-        futures = self.insert_batch_async(keys, hosts)
-        return sum(ray.get(futures)) if futures else 0
-
-    def insert_batch_async(self, keys: list[str], hosts: list[str] | None = None):
-        """Fire the inserts and return futures — callers may overlap the wave
-        fetch with the insert round-trip and ray.get before the next
-        contains_batch."""
-        buckets = self._route(keys, hosts)
-        return [
-            shard.insert_batch.remote([k for _, k in bucket])
-            for shard, bucket in zip(self.shards, buckets)
-            if bucket
-        ]
-
-    def contains_arrow(self, keys_arr, shard_idx):
-        """Arrow fan-out: keys as a pyarrow StringArray + precomputed shard
-        index (numpy).  String materialization happens worker-side."""
-        import numpy as np
-        import pyarrow as pa
-
-        out = np.zeros(len(keys_arr), dtype=bool)
-        futs = []
-        for s in range(self.num_shards):
-            pos = np.nonzero(shard_idx == s)[0]
-            if len(pos):
-                futs.append(
-                    (pos, self.shards[s].contains_batch.remote(keys_arr.take(pa.array(pos))))
-                )
-        for pos, f in futs:
-            out[pos] = ray.get(f)
-        return out
-
-    def insert_arrow_async(self, keys_arr, shard_idx):
-        import numpy as np
-        import pyarrow as pa
-
-        futs = []
-        for s in range(self.num_shards):
-            pos = np.nonzero(shard_idx == s)[0]
-            if len(pos):
-                futs.append(self.shards[s].insert_batch.remote(keys_arr.take(pa.array(pos))))
-        return futs
-
-    def checkpoint_increments(self) -> list[list[str]]:
-        return ray.get([s.take_increment.remote() for s in self.shards])
+    def _insert(self, keys: list[str], hosts: list[str] | None) -> int:
+        added = self._call("insert_batch", self._bucket_args(self._route(keys, hosts)))
+        return sum(a for a in added if a is not None)
 
     def restore(self, per_shard_keys: list[list[str]]) -> None:
-        ray.get(
-            [s.restore.remote(keys) for s, keys in zip(self.shards, per_shard_keys) if keys]
-        )
+        self._call("restore", [(keys,) if keys else None for keys in per_shard_keys])
 
     def size(self) -> int:
-        return sum(ray.get([s.size.remote() for s in self.shards]))
+        return sum(self._call("size"))
 
     def dump(self) -> set[str]:
         out: set[str] = set()
-        for keys in ray.get([s.dump.remote() for s in self.shards]):
+        for keys in self._call("dump"):
             out.update(keys)
         return out
 
@@ -191,3 +182,50 @@ class UrlSeen:
         for s in self.shards:
             ray.kill(s)
         self.shards = []
+        self.local = None
+
+
+class UrlSeen(ShardSet):
+    """Driver-side facade over the seen shards (batch fan-out/fan-in)."""
+
+    def __init__(self, num_shards: int = 8, spill_threshold: int | None = None) -> None:
+        super().__init__(SeenShard, UrlSeenShard, num_shards, spill_threshold)
+
+    def contains_batch(self, keys: list[str], hosts: list[str] | None = None) -> list[bool]:
+        return self._contains(keys, hosts)
+
+    def insert_batch(self, keys: list[str], hosts: list[str] | None = None) -> int:
+        return self._insert(keys, hosts)
+
+    def contains_arrow(self, keys_arr, shard_idx):
+        """Arrow fan-out: keys as a pyarrow StringArray + precomputed shard
+        index (numpy).  String materialization happens worker-side."""
+        positions, args = self._arrow_parts(keys_arr, shard_idx)
+        out = np.zeros(len(keys_arr), dtype=bool)
+        for pos, hits in zip(positions, self._call("contains_batch", args)):
+            if hits is not None:
+                out[pos] = hits
+        return out
+
+    def insert_arrow_async(self, keys_arr, shard_idx):
+        """Fire the inserts and return futures — callers may overlap the wave
+        fetch with the insert round-trip and ray.get before the next
+        contains.  The in-driver shard inserts now (no futures)."""
+        return self._call_async("insert_batch", self._arrow_parts(keys_arr, shard_idx)[1])
+
+    def _arrow_parts(self, keys_arr, shard_idx):
+        """→ (positions, args): per shard, the positions of its rows and its
+        ``(keys,)`` call args (None when it has no rows)."""
+        import pyarrow as pa
+
+        if self.num_shards == 1:
+            return [slice(None)], [(keys_arr,) if len(keys_arr) else None]
+        positions, args = [], []
+        for s in range(self.num_shards):
+            pos = np.nonzero(shard_idx == s)[0]
+            positions.append(pos)
+            args.append((keys_arr.take(pa.array(pos)),) if len(pos) else None)
+        return positions, args
+
+    def checkpoint_increments(self) -> list[list[str]]:
+        return self._call("take_increment")

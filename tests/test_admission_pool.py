@@ -31,6 +31,8 @@ def test_pooled_index_matches_driver_index(corpus, cfg, ray_session):
     driver = RayCrawler(job, cdir, keep_pages=False, index_mode="driver", collect_seen=True)
     res_drv = driver.run()
 
+    # the 4-CPU session resolves to 4 shards: the pooled (actor) path
+    assert res_pool.seen_shards == res_drv.seen_shards == 4
     assert res_pool.admitted_order == golden.admitted_order
     assert res_drv.admitted_order == golden.admitted_order
     assert res_pool.seen_keys == res_drv.seen_keys == golden.visited_set
@@ -53,4 +55,5 @@ def test_pooled_index_handles_redirects(corpus, ray_session):
     job = CrawlJob((seed_of(0),), CrawlConfig())
     golden = crawl_oracle(job, corpus_dict)
     res = RayCrawler(job, cdir, keep_pages=False, index_mode="pooled").run()
+    assert res.seen_shards == 4
     assert res.admitted_order == golden.admitted_order

@@ -177,6 +177,7 @@ def test_sharded_sitemap_increments_checkpointed(env):
     crawler = RayCrawler(job, cdir, ckpt_dir=ckpt, keep_pages=False)
     assert crawler._simple_config()  # takes _run_fast_sharded
     first = crawler.run()
+    assert first.seen_shards == 4  # the actor pool of the 4-CPU session
     sitemap_waves = [m for m in first.metrics if m.get("sitemap")]
     assert sitemap_waves and sitemap_waves[0]["admitted"] > 0
 
@@ -188,6 +189,7 @@ def test_sharded_sitemap_increments_checkpointed(env):
 
     # resume after a COMPLETED crawl must admit nothing (no re-fetch)
     resumed = RayCrawler(job, cdir, ckpt_dir=ckpt, keep_pages=False).run(resume=True)
+    assert resumed.seen_shards == 4
     assert resumed.visited == []
 
 

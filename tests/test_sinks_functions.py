@@ -120,6 +120,7 @@ def test_cli_stop_after_wave_and_resume(ray_session, tmp_path):
     assert rc == 0
     partial = json.loads(buf.getvalue().strip().splitlines()[-1])
     assert partial["stopped"] is True
+    assert partial["seen_shards"] == 4  # min(8, CPUs) of the 4-CPU session
 
     buf = io.StringIO()
     with redirect_stderr(buf):
@@ -128,6 +129,7 @@ def test_cli_stop_after_wave_and_resume(ray_session, tmp_path):
     assert rc == 0
     resumed = json.loads(buf.getvalue().strip().splitlines()[-1])
     assert resumed["stopped"] is False
+    assert resumed["seen_shards"] == 4
 
     buf = io.StringIO()
     with redirect_stderr(buf):

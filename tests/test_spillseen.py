@@ -80,6 +80,7 @@ def test_crawl_parity_with_spill(fixture_env, config, seeds):
     o = crawl_oracle(job, corpus)
     crawler = RayCrawler(job, cdir, keep_pages=False, seen_spill_threshold=32)
     e = crawler.run()
+    assert e.seen_shards == 4  # spilling actor shards, not the in-driver set
     assert e.visited_set == o.visited_set
     assert e.admitted_order == o.admitted_order
     assert not e.seen_keys  # collect_seen forced off in spill mode
