@@ -35,15 +35,19 @@ JS_SAFE_CHALLENGE_PATTERNS: tuple[tuple[str, str], ...] = (
 )
 
 
-def challenge_vendor(html: bytes | None) -> str | None:
+def challenge_vendor(html: bytes | str | None) -> str | None:
     """Per-page detector (the 1:1 pytest surface): vendor name of the
     leftmost challenge phrase, or None when the page is not a challenge
-    (empty, too big, invalid UTF-8, or no phrase)."""
+    (empty, too big, invalid UTF-8, or no phrase).  A ``str`` page is
+    measured and checked as its UTF-8 bytes."""
+    if isinstance(html, str):
+        # lone surrogates survive the encode and fail the decode below
+        html = html.encode("utf-8", "surrogatepass")
     if not html or len(html) > MAX_BYTES:
         return None
     try:
         text = html.decode("utf-8")
-    except (UnicodeDecodeError, AttributeError):
+    except UnicodeDecodeError:
         return None
     best: tuple[int, int] | None = None
     for i, (phrase, _vendor) in enumerate(JS_SAFE_CHALLENGE_PATTERNS):

@@ -157,6 +157,17 @@ class EdgeExtractor:
         )
 
 
+def _map_extractor(ds, extractor_cls, concurrency: int | None):
+    """Corpus rows → extractor output.  By default one driver-constructed
+    extractor runs as stateless tasks fused with the Parquet read (as
+    ``markdown.CorpusTransformStage`` does): an actor pool holds its CPUs for
+    the whole job, and on a small session the read it waits on never
+    schedules.  An explicit ``concurrency`` runs an actor pool of that size."""
+    if concurrency is not None:
+        return ds.map_batches(extractor_cls, batch_format="pyarrow", concurrency=concurrency)
+    return ds.map_batches(extractor_cls(), batch_format="pyarrow")
+
+
 # Session-scoped memo of the aggregated edge list per corpus dir: the edge
 # list is a pure derived artifact of an immutable corpus, and SIX graph ops
 # (degrees, pagerank, hits, components, triangles, reciprocity) start from
@@ -191,17 +202,7 @@ def host_link_edges(corpus_dir: str, concurrency: int | None = None,
         return _EDGE_CACHE[ck]
 
     ds = ray.data.read_parquet(corpus_dir, columns=["url", "html", "status"])
-    # FIXED fractional pool sized to the cluster: the parse is the dominant
-    # cost and the autoscaler's ramp-up dominates short jobs (13.2 s ->
-    # 7.8 s at sf0.1/32 with concurrency=CPUs, num_cpus=0.5)
-    from ..poolsize import fixed_pool
-
-    kwargs = (
-        {"concurrency": concurrency}
-        if concurrency is not None
-        else {"concurrency": fixed_pool(), "num_cpus": 0.5}
-    )
-    edges = ds.map_batches(EdgeExtractor, batch_format="pyarrow", **kwargs)
+    edges = _map_extractor(ds, EdgeExtractor, concurrency)
     agg = edges.groupby(["src_host", "dst_host"]).sum("n_links")
     out = agg.map_batches(
         lambda b: pa.table(
@@ -654,7 +655,7 @@ def top_backlinks(corpus_dir: str, k: int = 100, concurrency=None):
     """Top-``k`` most-linked URLs across the corpus:
     ``(url, n_backlinks, rank)`` ordered by (count desc, url asc).
 
-    Shape: actor-pool parse with per-batch Counter combiner (a target
+    Shape: parse tasks fused with the read, with a per-batch Counter combiner (a target
     linked from every page of a batch ships ONE row), then the repo's
     coarse-partition fold (the ``anchor_terms`` rework pattern): partials
     carry ``part = hash(url) & 255``, a ``groupby(part)`` co-locates each
@@ -664,13 +665,11 @@ def top_backlinks(corpus_dir: str, k: int = 100, concurrency=None):
     shuffles.  (A part's global top-k members can only come from that
     part, so the merge is exact.)"""
     import polars as pl
-    import ray
     import ray.data
 
     from ..poolsize import coarse_fanout
 
     ds = ray.data.read_parquet(corpus_dir, columns=["url", "html", "status"])
-    max_actors = max(8, int(ray.cluster_resources().get("CPU", 8)))
     part_mask = coarse_fanout(floor=256, per_cpu=8) - 1  # driver-resolved
 
     class PartedExtractor(BacklinkExtractor):
@@ -686,14 +685,7 @@ def top_backlinks(corpus_dir: str, k: int = 100, concurrency=None):
                 "part", pc.bit_wise_and(pc.cast(part, pa.int64()), part_mask)
             )
 
-    from ..poolsize import fixed_pool
-
-    bl_kwargs = (
-        {"concurrency": concurrency}
-        if concurrency is not None
-        else {"concurrency": fixed_pool(), "num_cpus": 0.5}
-    )
-    partials = ds.map_batches(PartedExtractor, batch_format="pyarrow", **bl_kwargs)
+    partials = _map_extractor(ds, PartedExtractor, concurrency)
 
     def part_topk(group: pa.Table) -> pa.Table:
         agg = (

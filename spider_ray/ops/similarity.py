@@ -607,6 +607,21 @@ def pq_top_k(
 # ---------------------------------------------------------------------------
 
 
+def _neighbor_ranks(ids_j: np.ndarray) -> np.ndarray:
+    """Rank of each id among ``ids_j`` — the low 20 bits of knn's composite
+    (similarity, neighbor) sort key.  A block of 2²⁰ ids or more would
+    carry ranks into the similarity bits and silently reorder neighbors, so
+    it raises instead."""
+    if len(ids_j) >= 1 << 20:
+        raise ValueError(
+            f"knn_graph block holds {len(ids_j)} ids; the composite top-k key "
+            "needs fewer than 2**20 per block (lower target_block_rows)"
+        )
+    rank_j = np.empty(len(ids_j), dtype=np.int64)
+    rank_j[np.argsort(ids_j, kind="stable")] = np.arange(len(ids_j))
+    return rank_j
+
+
 def knn_graph(
     ds,
     k: int = 5,
@@ -677,6 +692,7 @@ def knn_graph(
         ti, tj = ref_i, ref_j
         ids_i = np.asarray(ti.column(id_column), dtype=np.int64)
         ids_j = np.asarray(tj.column(id_column), dtype=np.int64)
+        rank_j = _neighbor_ranks(ids_j)
         mi = _batch_matrix(ti, column)
         mj = _batch_matrix(tj, column)
         mi = mi / np.maximum(np.linalg.norm(mi, axis=1, keepdims=True), 1e-12)
@@ -691,8 +707,6 @@ def knn_graph(
         # Python+sort per pair task).  ids are unique, so rank-of-id is a
         # total tiebreak: comp = (1e6 - sim) · 2²⁰ + rank_j orders exactly
         # by (sim desc, neighbor_id asc); 3e6·2²⁰ ≈ 3.1e12 fits int64.
-        rank_j = np.empty(len(ids_j), dtype=np.int64)
-        rank_j[np.argsort(ids_j, kind="stable")] = np.arange(len(ids_j))
         comp = (np.int64(1_000_000) - sims) * np.int64(1 << 20) + rank_j[None, :]
         rows = np.arange(sims.shape[0])[:, None]
         part = (

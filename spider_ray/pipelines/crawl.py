@@ -1,24 +1,32 @@
-"""Distributed wave-crawl pipeline (Ray Data).
+"""Distributed wave crawl over a bucketed Parquet corpus.
 
 Architecture (SURVEY.md §7.0): one crawl = repeated application of a wave
-pipeline over Datasets, with small stateful services:
+step, with small stateful services:
 
-* ``UrlSeen`` shards (set + bloom)                — visited membership:
+* seen/admission shards (set + bloom)             — visited membership:
   ``min(8, cluster CPUs)`` actors, or in the driver on a one-CPU session
 * driver-held ``Budget`` + per-host politeness    — inherently ordered fold
   (metadata-only, mirroring spider's driver-held ``Website`` state)
 * everything heavy — the corpus-join fetch, HTML parse / link extraction /
-  text extraction / signature — is stateless ``map_batches`` over zero-copy
-  Arrow batches; ``html`` never leaves the fetch→parse fusion.
+  text extraction / signature — is one stateless Ray task per corpus
+  descriptor (``_fetch_parse_task_impl``); ``html`` never leaves the task.
 
-Per wave::
+Two wave executors share that fetch+parse (``RayCrawler._fetch_parse``):
 
-    admitted urls ──read_parquet(bucket-pruned, url-filtered)──▶ pages(html)
-        ▲                                                          │ map_batches(ParsePages)
-        │                                                          ▼
-    admission fold (waves.admit_wave) ◀── UrlSeen.contains ◀── links+sig+meta
-        │                                                          │
-        └────────── checkpoint (frontier/seen/budget/metrics) ◀────┴─ write pages parquet
+* ``_run_fast_sharded`` — every simple config (no budget, robots,
+  politeness, filters, round-robin, hooks or queue): the admission fold runs
+  shard-local in the ``AdmissionPool``;
+* ``run()`` — the ordered driver fold for everything else.
+
+``run_streaming`` (``HostGate`` per-host frontier) is a third, opt-in
+executor.  Per wave::
+
+    admitted urls ──CorpusIndex.split──▶ descriptors ──task: read row groups + ParsePages──▶ pages
+        ▲                                                  │ (writes out_dir/wave_k/part-*.parquet)
+        │                                                  ▼
+    admission fold (AdmissionPool / waves.admit_wave) ◀── url + signature + links
+        │
+        └────────── checkpoint (frontier/seen/budget/metrics)
 
 Checkpoint layout (resume = load latest complete wave; per-partition lineage)::
 
@@ -29,13 +37,15 @@ Checkpoint layout (resume = load latest complete wave; per-partition lineage)::
       wave_{k}/seen/shard_{s}.parquet  urls first seen in wave k (incremental)
       wave_{k}/budget.json           budget counters + signature set
       wave_{k}/metrics.json
-    out_dir/wave_{k}/*.parquet       parsed pages (wave lineage column)
+    out_dir/wave_{k}/part-{i}.parquet  parsed pages of descriptor i (wave lineage column)
+    out_dir/wave_{k}/missing.parquet   synthetic 404 / redirect-error / flaky rows
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 
 import pyarrow as pa
@@ -70,39 +80,6 @@ class CrawlResult:
 
     def pages_table(self) -> pa.Table:
         return pa.concat_tables(self.pages_tables) if self.pages_tables else None
-
-
-def _flatten_block_impl(tbl, local_rows, ranks):
-    """Worker-side candidate flatten: allowed rows' links → (url, key, rank)
-    with local first-push dedup.  rank = (page admitted-rank << 21) | doc
-    position — a total order identical to the sequential first-push walk."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    links = tbl.column("links").combine_chunks().take(pa.array(local_rows, pa.int64()))
-    flat = pc.list_flatten(links)
-    total = len(flat)
-    if total == 0:
-        return None
-    lens = pc.list_value_length(links).to_numpy(zero_copy_only=False).astype(np.int64)
-    page_rank_rep = np.repeat(np.asarray(ranks, dtype=np.int64), lens)
-    starts = np.repeat(np.cumsum(lens) - lens, lens)
-    doc_pos = np.arange(total, dtype=np.int64) - starts
-    rank64 = (page_rank_rep << 21) | np.minimum(doc_pos, (1 << 21) - 1)
-    order = np.argsort(rank64, kind="stable")
-    flat = flat.take(pa.array(order, pa.int64()))
-    rank64 = rank64[order]
-    keys = pc.utf8_lower(flat)
-    keep = _first_seen_mask(keys)
-    mask = pa.array(keep)
-    out = pa.table(
-        {
-            "url": flat.filter(mask),
-            "key": keys.filter(mask),
-            "rank": pa.array(rank64[keep], pa.int64()),
-        }
-    )
-    return out.append_column("n_raw", pa.array([total] * out.num_rows, pa.int64()))
 
 
 def _first_seen_mask_np(arr):
@@ -153,11 +130,11 @@ def _first_seen_mask(keys) -> "object":
     return keep
 
 
-def _fetch_parse_task_impl(desc, parser):
-    """One corpus descriptor → fused row-group read + parse → (url,
-    signature, links) block.  The raw-task twin of
-    ``stages.fetch.ReadRowGroups`` + ``ParsePages`` for the sharded wave
-    executor (see ``_fetch_parse_wave_stream`` for why raw tasks)."""
+def _fetch_parse_task_impl(desc, parser, columns, out_path):
+    """One corpus descriptor → fused row-group read + parse → page block,
+    the crawl's one fetch+parse (see ``RayCrawler._fetch_parse``).  Writes
+    the full block to ``out_path`` when given, and returns only ``columns``
+    (all of them when None)."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
@@ -168,9 +145,9 @@ def _fetch_parse_task_impl(desc, parser):
     tbl = f.read_row_groups(list(desc["row_groups"]), columns=cols)
     mask = pc.is_in(tbl.column("url"), value_set=pa.array(desc["urls"], pa.string()))
     parsed = parser(tbl.filter(mask))
-    if parsed.num_rows == 0 or "url" not in parsed.schema.names:
-        return parsed
-    return parsed.select(["url", "signature", "links"])
+    if out_path is not None:
+        pq.write_table(parsed, out_path)
+    return parsed if columns is None else parsed.select(columns)
 
 
 def _iter_allowed_blocks(blocks, allowed_ranks):
@@ -204,24 +181,14 @@ def _fetch_parse_task_remote():
     return _FETCH_PARSE_TASK
 
 
-_FLATTEN_REMOTE = None
-
-
-def _flatten_remote():
-    global _FLATTEN_REMOTE
-    if _FLATTEN_REMOTE is None:
-        import ray
-
-        _FLATTEN_REMOTE = ray.remote(_flatten_block_impl)
-    return _FLATTEN_REMOTE
-
-
 def _flatten_block_sharded_impl(tbl, local_rows, ranks, num_shards):
-    """Sharded candidate flatten: like :func:`_flatten_block_impl`, but the
-    locally-deduped (url, key, rank) rows are split by
-    ``hash(host) % num_shards`` so each part ships STRAIGHT to its
-    AdmissionShard (the driver only ever touches object refs).  Returns
-    ``num_shards`` tables (None when empty) + the raw candidate count."""
+    """Worker-side candidate flatten: allowed rows' links → (url, key, rank)
+    with local first-push dedup.  rank = (page admitted-rank << 21) | doc
+    position — a total order identical to the sequential first-push walk.
+    The rows are split by ``hash(host) % num_shards`` so each part ships
+    STRAIGHT to its AdmissionShard (the driver only ever touches object
+    refs).  Returns ``num_shards`` tables (None when empty) + the raw
+    candidate count."""
     import numpy as np
     import pyarrow.compute as pc
 
@@ -303,8 +270,6 @@ class RayCrawler:
         out_dir: str | None = None,
         ckpt_dir: str | None = None,
         num_seen_shards: int | None = None,
-        parse_batch_size: int = 128,
-        parse_concurrency: int | None = None,
         keep_pages: bool = True,
         collect_seen: bool = False,
         queue_provider=None,
@@ -322,8 +287,6 @@ class RayCrawler:
         # count is kept in num_seen_shards
         self._requested_seen_shards = num_seen_shards
         self.num_seen_shards = num_seen_shards
-        self.parse_batch_size = parse_batch_size
-        self.parse_concurrency = parse_concurrency
         self.keep_pages = keep_pages
         self.collect_seen = collect_seen
         self.queue_provider = queue_provider
@@ -343,7 +306,6 @@ class RayCrawler:
         self.control = control
         self.frontier_ops = 0  # candidate URLs processed (bench metric)
         self._index = None  # CorpusIndex, built lazily at first wave
-        self._pending_inserts: list = []
         # redirect state: crawl-global resolver (Strict initial allowance) +
         # the live job (gains seed_redirects after a cross-host seed redirect)
         from ..redirect import RedirectResolver
@@ -364,7 +326,7 @@ class RayCrawler:
     POOLED_INDEX_ROWS = 20_000_000
 
     def _index_pool_get(self):
-        """Scale-adaptive corpus index for the refs paths: a sharded
+        """Scale-adaptive corpus index for the wave fetch: a sharded
         CorpusIndexPool once the corpus outgrows a single driver dict
         (``index_mode='pooled'`` forces it; ``'driver'`` forces the dict)."""
         if self._index_pool is not None:
@@ -395,7 +357,7 @@ class RayCrawler:
             self._router_cache = _oracle.ScopeRouter(self._live_job)
         return self._router_cache
 
-    def _resolve_wave(self, admitted: list[str], wave: int, index=None):
+    def _resolve_wave(self, admitted: list[str], wave: int, index):
         """Driver-side redirect resolution for one wave (metadata-only, zero
         row-group I/O: chains walk the driver-held non-200 metadata, then
         ONE batched existence lookup covers every chain terminal).  Returns
@@ -404,7 +366,6 @@ class RayCrawler:
         fetchable content (aborted chains / chains onto missing targets)."""
         from ..redirect import REDIRECT_ERROR_STATUS
 
-        index = index if index is not None else self._index
         loc_of = index.location_of
         flaky_of = getattr(index, "flaky_of", {})
         follow = bool(loc_of) and self._resolver.policy != "none"
@@ -555,25 +516,18 @@ class RayCrawler:
              "config_hash": self._config_hash(), **self._redirect_state()},
         )
 
-    def _ckpt_wave_fast(self, wave, flat_candidates, signatures, seen, metrics):
-        """Fast-path checkpoint: frontier as a flat url column (priorities are
-        a deterministic function of the url, recomputed on resume)."""
+    def _ckpt_wave_fast(self, wave, frontier_urls, signatures, seen, metrics):
+        """Sharded-executor checkpoint: frontier as a flat url column
+        (priorities are a deterministic function of the url, recomputed on
+        resume)."""
         if not self.ckpt_dir:
             return
-        if self._pending_inserts:
-            import ray
-
-            ray.get(self._pending_inserts)
-            self._pending_inserts = []
         wdir = os.path.join(self.ckpt_dir, f"wave_{wave:05d}")
         os.makedirs(os.path.join(wdir, "seen"), exist_ok=True)
-        if flat_candidates is None:
-            urls = pa.array([], pa.string())
-        elif isinstance(flat_candidates, pa.Table):
-            urls = flat_candidates.column("url")
-        else:
-            urls = flat_candidates
-        pq.write_table(pa.table({"url": urls}), os.path.join(wdir, "frontier.parquet"))
+        pq.write_table(
+            pa.table({"url": pa.array(frontier_urls or [], pa.string())}),
+            os.path.join(wdir, "frontier.parquet"),
+        )
         for s, inc in enumerate(seen.checkpoint_increments()):
             pq.write_table(
                 pa.table({"url_norm": inc, "wave": pa.array([wave] * len(inc), pa.int32())}),
@@ -713,92 +667,108 @@ class RayCrawler:
 
     # -- fetch + parse -------------------------------------------------------
 
-    def _fetch_parse_wave(self, admitted: list[str], wave: int) -> pa.Table:
-        """Distributed fetch-join + parse for one wave; returns the parsed
-        table (url, host, status_code, signature, title, …, links).
+    def _fetch_parse(self, urls: list[str], wave: int, columns, pages, on_block=None):
+        """The crawl's one fetch+parse, shared by every executor: redirect
+        resolution, one raw Ray task per corpus descriptor
+        (``_fetch_parse_task_impl``: fused row-group read + parse), then
+        the synthetic rows of urls with no fetchable content (404 /
+        redirect-error / flaky).
 
-        ParsePages runs as a driver-constructed instance by default (tasks,
-        not an actor pool): its state is a few hundred bytes of scope config,
-        and per-wave datasets would pay actor-pool startup EVERY wave.  Set
-        ``parse_concurrency`` to pin an actor pool for long waves instead."""
+        Raw tasks rather than a per-wave Dataset by design: a wave is a
+        micro-batch with a barrier, and Ray Data's streaming executor costs
+        ~0.5 s of startup per execution (measured on an empty 150-block
+        wave) — ~2 s/crawl of pure overhead at any CPU count.  The parser
+        ships ONCE per wave via ray.put, and ``concurrency_limit`` (the
+        worker-permit cap, configuration.rs:478) bounds the tasks in flight.
+
+        ``columns`` are the columns the executor reads; with ``keep_pages``
+        every column comes back and the wave's rows are appended to
+        ``pages``.  With ``out_dir`` each task writes its full block to
+        ``out_dir/wave_k/part-{i}.parquet`` (``i`` = descriptor index) and
+        the synthetic rows go to ``missing.parquet``; the wave's directory is
+        cleared first, so a re-run wave replaces its pages.
+        ``on_block(ref, table)`` sees each block as its task completes
+        (``ref`` None for the synthetic rows), overlapping driver work with
+        the remaining tasks.
+
+        → the wave's rows (task blocks in submission order, synthetic rows
+        last), or None when there are none."""
         import ray
 
-        from ..stages.fetch import CorpusIndex, fetch_wave_indexed
+        index = self._index_pool_get()
+        fetch_urls, backmap, targets_only, synth = self._resolve_wave(urls, wave, index)
+        descriptors, missing = index.split(fetch_urls + list(backmap.keys() - set(fetch_urls)))
+        if self.keep_pages:
+            columns = None
+        wdir = None
+        if self.out_dir:
+            wdir = os.path.join(self.out_dir, f"wave_{wave:05d}")
+            shutil.rmtree(wdir, ignore_errors=True)
+            os.makedirs(wdir)
+        tables: list = [None] * len(descriptors)
+        if descriptors:
+            # text only for pages that are kept or written, or that an
+            # on_should_crawl hook reads
+            want_text = (
+                self.keep_pages or wdir is not None or self.config.on_should_crawl is not None
+            )
+            parser_ref = ray.put(
+                ParsePages(self._live_job, wave, backmap, targets_only, want_text=want_text)
+            )
+            task = _fetch_parse_task_remote()
+            pos_of: dict = {}
 
-        if self._index is None:
-            self._index = CorpusIndex(self.corpus_dir)
-        fetch_urls, backmap, targets_only, synth = self._resolve_wave(admitted, wave)
-        ds, missing_known = fetch_wave_indexed(
-            fetch_urls + list(backmap.keys() - set(fetch_urls)),
-            self._index,
-            concurrency=self.config.concurrency_limit,
-        )
-        tables: list[pa.Table] = []
-        if ds is not None:
-            # batch_size=None: task per fetched block (one corpus descriptor)
-            parse_kwargs = dict(batch_format="pyarrow", batch_size=None)
-            if self.config.concurrency_limit and not self.parse_concurrency:
-                parse_kwargs["concurrency"] = self.config.concurrency_limit
-            parse_args = (self._live_job, wave, backmap, targets_only)
-            if self.parse_concurrency:
-                parsed_ds = ds.map_batches(
-                    ParsePages,
-                    fn_constructor_args=parse_args,
-                    concurrency=self.parse_concurrency,
-                    **parse_kwargs,
-                )
-            else:
-                parser = ParsePages(*parse_args)
-                parsed_ds = ds.map_batches(parser, **parse_kwargs)
-            if self.out_dir:
-                parsed_ds = parsed_ds.materialize()
-                parsed_ds.write_parquet(os.path.join(self.out_dir, f"wave_{wave:05d}"))
-            if not self.keep_pages:
-                # only the frontier-relevant columns travel to the driver —
-                # text/title/html-derived payload stays in the workers
-                parsed_ds = parsed_ds.select_columns(
-                    ["url", "signature", "links", "blocked_crawl", "wave"]
-                )
-            # materialize before taking refs: to_arrow_refs on a live
-            # pipeline executes on a measurably slower non-streaming path
-            tables = [
-                t
-                for t in ray.get(parsed_ds.materialize().to_arrow_refs())
-                if t.num_rows > 0 and "url" in t.schema.names
-            ]
-        synth_all = [(u, 404, None) for u in missing_known] + synth
+            def submit(i: int):
+                out = None if wdir is None else os.path.join(wdir, f"part-{i:05d}.parquet")
+                ref = task.remote(descriptors[i], parser_ref, columns, out)
+                pos_of[ref] = i
+                return ref
+
+            window = self.config.concurrency_limit or len(descriptors)
+            pending = [submit(i) for i in range(min(window, len(descriptors)))]
+            while pending:
+                done, pending = ray.wait(pending, num_returns=1)
+                if len(pos_of) < len(descriptors):
+                    pending.append(submit(len(pos_of)))
+                for ref in done:
+                    # same-node ray.get of an Arrow block is zero-copy (plasma mmap)
+                    tables[pos_of[ref]] = tbl = ray.get(ref)
+                    if on_block is not None:
+                        on_block(ref, tbl)
+        synth_all = [(u, 404, None) for u in missing] + synth
         if synth_all:
-            miss_tbl = missing_rows(
+            tbl = missing_rows(
                 [u for u, _, _ in synth_all],
                 wave,
                 statuses=[s for _, s, _ in synth_all],
                 destinations=[d for _, _, d in synth_all],
             )
             if self.config.normalize:
-                miss_tbl = miss_tbl.set_column(
-                    miss_tbl.schema.get_field_index("signature"),
+                tbl = tbl.set_column(
+                    tbl.schema.get_field_index("signature"),
                     "signature",
                     pa.array([_EMPTY_SIG] * len(synth_all), pa.uint64()),
                 )
-            if not self.keep_pages:
-                miss_tbl = miss_tbl.select(["url", "signature", "links", "blocked_crawl", "wave"])
-            tables.append(miss_tbl)
-            if self.out_dir:
-                wdir = os.path.join(self.out_dir, f"wave_{wave:05d}")
-                os.makedirs(wdir, exist_ok=True)
-                pq.write_table(miss_tbl, os.path.join(wdir, "missing.parquet"))
+            if wdir is not None:
+                pq.write_table(tbl, os.path.join(wdir, "missing.parquet"))
+            if columns is not None:
+                tbl = tbl.select(columns)
+            tables.append(tbl)
+            if on_block is not None:
+                on_block(None, tbl)
         if not tables:
             return None
-        names = [f.name for f in tables[0].schema]
-        return pa.concat_tables([t.select(names) for t in tables])
-
-    # -- vectorized fast path ------------------------------------------------
+        tbl = pa.concat_tables(tables)
+        if self.keep_pages:
+            pages.append(tbl)
+        return tbl
 
     def _simple_config(self) -> bool:
         """True when admission is order-independent (no budget, politeness,
-        robots, filters, or round-robin) — the common web-scale case.  The
-        vectorized path below then produces EXACTLY the same admitted set and
-        canonical order as the sequential fold (parity-tested)."""
+        robots, filters, or round-robin) — the common web-scale case.  Such
+        crawls run in the sharded executor, which produces EXACTLY the same
+        admitted set and canonical order as the sequential fold
+        (parity-tested)."""
         c = self.config
         return (
             c.budget is None
@@ -813,218 +783,49 @@ class RayCrawler:
             and self.queue_provider is None
         )
 
-    def _candidates_fast(self, parsed_tbl, admitted, signatures, wave):
-        """Arrow-native candidate extraction: vectorized signature gating in
-        admitted order, then list_flatten of allowed pages' links — candidate
-        URLs never become Python objects until after dedup."""
-        import numpy as np
-        import pyarrow.compute as pc
+    # -- sharded admission (the simple-config executor) ----------------------
 
-        if parsed_tbl is None:
-            return None
-        # rows of parsed_tbl in ADMITTED (canonical) order — Arrow C++ hash
-        # join (index_in), no pandas Index build
-        indexer = pc.index_in(
-            pa.array(admitted, pa.string()), value_set=parsed_tbl.column("url")
-        ).to_numpy(zero_copy_only=False)
-        indexer = (
-            indexer[~np.isnan(indexer)].astype(np.int64)
-            if indexer.dtype.kind == "f"
-            else indexer[indexer >= 0]
-        )
-        if self.config.normalize:
-            sigs_np = parsed_tbl.column("signature").to_numpy(zero_copy_only=False)
-            sig_in_order = sigs_np[indexer]
-            # first occurrence within the wave AND not in the cross-wave set
-            # (duplicate-content pages do not expand links, website.rs:8673-8683)
-            first = _first_seen_mask_np(sig_in_order)
-            fresh = _sig_fresh_and_update(signatures, sig_in_order)
-            allowed = first & fresh
-            allowed_rows = indexer[allowed]
-        else:
-            allowed_rows = indexer
-        links_col = parsed_tbl.column("links").combine_chunks()
-        flat = pc.list_flatten(links_col.take(pa.array(allowed_rows, pa.int64())))
-        return flat  # StringArray, in page-admitted × doc order
-
-    def _admit_fast(self, flat_candidates, seen, wave):
-        """Vectorized dedup + canonical ordering + depth filter + seen check.
-
-        Equivalent to order_candidates + admit_wave for simple configs:
-        first-push dedup by candidate order, heap order = sort by
-        (priority desc, url_norm desc), depth = path-segment count.
-        """
-        import numpy as np
-        import pyarrow.compute as pc
-
-        from ..frontier import score_urls_arrow
-        from ..semantics import depth_distance_for
-
-        if flat_candidates is None or len(flat_candidates) == 0:
-            return [], []
-        if isinstance(flat_candidates, pa.Table):
-            # pre-deduped (url, key) from the distributed flatten path
-            cand = flat_candidates.column("url").combine_chunks()
-            cand_keys = flat_candidates.column("key").combine_chunks()
-        else:
-            self.frontier_ops += len(flat_candidates)
-            keys = pc.utf8_lower(flat_candidates)
-            # first-push dedup in candidate order (UrlFrontier.push semantics)
-            mask_arr = pa.array(_first_seen_mask(keys))
-            cand = flat_candidates.filter(mask_arr)
-            cand_keys = keys.filter(mask_arr)
-        prio = score_urls_arrow(cand, wave)
-        # canonical heap order: priority desc, url_norm desc
-        tbl = pa.table({"url": cand, "key": cand_keys, "prio": pa.array(prio, pa.int32())})
-        idx = pc.sort_indices(
-            tbl, sort_keys=[("prio", "descending"), ("key", "descending")]
-        )
-        tbl = tbl.take(idx)
-        # depth filter (path-segment count incl. query, website.rs:2010-2028)
-        dd = depth_distance_for(self.config)
-        if dd > 0:
-            pathq = pc.replace_substring_regex(
-                tbl.column("url"), pattern=r"^[^:/?#]+://[^/]*", replacement=""
-            )
-            starts_slash = pc.starts_with(pathq, "/")
-            segs = pc.count_substring(pathq, "/")
-            ok = pc.or_(pc.invert(starts_slash), pc.less_equal(segs, dd))
-            tbl = tbl.filter(ok)
-        # host of each candidate (vectorized) — the single partitioning key
-        # shared with corpus buckets and the politeness scheduler.  Shard
-        # routing hashes only the UNIQUE hosts (dictionary-encoded); key
-        # strings materialize worker-side, never on the driver.
-        from ..hashing import stable_hash_str
-
-        hosts_arr = hosts_of_keys_arrow(tbl.column("key"))
-        dict_arr = pc.dictionary_encode(hosts_arr).combine_chunks()
-        uniques = dict_arr.dictionary.to_pylist()
-        shard_of_unique = np.fromiter(
-            (stable_hash_str(h) % seen.num_shards for h in uniques),
-            dtype=np.int64,
-            count=len(uniques),
-        )
-        codes = dict_arr.indices.to_numpy(zero_copy_only=False)
-        shard_idx = shard_of_unique[codes]
-        if self._pending_inserts:
-            import ray
-
-            ray.get(self._pending_inserts)
-            self._pending_inserts = []
-        keys_arr = tbl.column("key").combine_chunks()
-        mask = seen.contains_arrow(keys_arr, shard_idx)  # True = already seen
-        keep = pa.array(~mask)
-        admitted_tbl = tbl.filter(keep)
-        admitted_keys = admitted_tbl.column("key").combine_chunks()
-        self._pending_inserts = seen.insert_arrow_async(admitted_keys, shard_idx[~mask])
-        admitted = admitted_tbl.column("url").to_pylist()
-        admitted_hosts = hosts_arr.filter(keep).to_pylist()
-        return admitted, admitted_hosts
-
-    # -- sharded admission (the scale fast path) -----------------------------
-
-    def _fetch_parse_wave_stream(self, admitted: list[str], wave: int):
-        """Streaming fetch+parse for the sharded path: one RAW Ray task per
-        corpus descriptor (fused row-group read + parse), consumed with
-        ``ray.wait`` AS TASKS COMPLETE — the per-block admitted-rank mapping
-        + signature extraction runs concurrently with the remaining parse
-        tasks, so the post-barrier gate left on the driver is pure numpy
-        over (rank, sig) pairs.
-
-        Raw tasks rather than a per-wave Dataset by design: a wave is a
-        micro-batch with a barrier, and Ray Data's streaming executor costs
-        ~0.5 s of startup per execution (measured on an empty 150-block
-        wave) — ~2 s/crawl of pure overhead at any CPU count.  The parser
-        ships ONCE per wave via ray.put; result blocks stay in the object
-        store (the driver touches only the url/signature columns,
-        zero-copy).  Ray Data remains the engine for the page-materializing
-        paths and every non-crawl pipeline.
+    def _fetch_parse_ranked(self, admitted: list[str], wave: int, pages):
+        """Fetch+parse for the sharded and streaming executors, mapping each
+        block to admitted ranks as its task completes — concurrently with the
+        remaining tasks, so the post-barrier gate left on the driver is pure
+        numpy over (rank, sig) pairs.  Only the url/signature columns are
+        touched here; the link columns stay in the object store.
 
         Returns ``blocks``: list of (block_ref | None, fetched_rows np.int64,
-        ranks np.int64, sigs np.uint64 | None) — block_ref None for synthetic
-        rows (404 / redirect-error / flaky), which carry signatures but no
-        links."""
+        ranks np.int64, sigs np.uint64 | None) — block_ref None for the
+        synthetic rows, which carry signatures but no links."""
         import numpy as np
-        import ray
 
-        index = self._index_pool_get()
-        fetch_urls, backmap, targets_only, synth = self._resolve_wave(admitted, wave, index)
-        descriptors, missing = index.split(
-            fetch_urls + list(backmap.keys() - set(fetch_urls))
-        )
         rank_of = dict(zip(admitted, range(len(admitted))))
         normalize = self.config.normalize
         blocks: list[tuple] = []
-        if descriptors:
-            parser_ref = ray.put(
-                ParsePages(self._live_job, wave, backmap, targets_only, want_text=False)
+
+        def on_block(block_ref, tbl):
+            # NOTE (round-3, measured): moving this rank loop into the fetch
+            # tasks LOSES — a wave-sized rank dict in the shared ray.put
+            # costs +54% wall at 4 CPUs (per-task unpickle), and
+            # per-descriptor rank slices cost +10-34% at 4-16 CPUs
+            # (driver-serial per-task pickling).  The loop below is
+            # ~2.5 s/crawl at 8 CPUs — cheaper than every ship-it-to-workers
+            # variant tried.
+            if tbl.num_rows == 0:
+                return
+            urls = tbl.column("url").to_pylist()
+            ranks_all = np.fromiter(
+                (rank_of.get(u, -1) for u in urls), dtype=np.int64, count=len(urls)
             )
-            task = _fetch_parse_task_remote()
-            # concurrency_limit = worker-permit cap (configuration.rs:478):
-            # submit in a sliding window of that many in-flight tasks.
-            # SPIDER_RAY_PARSE_INFLIGHT caps the window when no semantic
-            # limit is set: the fused decompress+parse task is memory-
-            # bandwidth-heavy, and past the node's bandwidth saturation
-            # point extra readers slow each other down (measured on the
-            # bench box: 16 in-flight beats 32 by ~25%).  Per-NODE knob —
-            # on a multi-node cluster each node schedules its own tasks,
-            # so the right value tracks node memory channels, not cluster
-            # CPU count.
-            window = (
-                self.config.concurrency_limit
-                or int(os.environ.get("SPIDER_RAY_PARSE_INFLIGHT", "0"))
-                or len(descriptors)
-            )
-            queue = list(descriptors)
-            pending = [
-                task.remote(queue.pop(), parser_ref)
-                for _ in range(min(window, len(queue)))
-            ]
-            while pending:
-                done, pending = ray.wait(pending, num_returns=1)
-                while queue and len(pending) < window:
-                    pending.append(task.remote(queue.pop(), parser_ref))
-                for block_ref in done:
-                    # same-node ray.get of an Arrow block is zero-copy (plasma
-                    # mmap); only the url/signature columns are touched here.
-                    # NOTE (round-3, measured): moving this rank loop into the
-                    # fetch tasks LOSES — a wave-sized rank dict in the shared
-                    # ray.put costs +54% wall at 4 CPUs (per-task unpickle),
-                    # and per-descriptor rank slices cost +10-34% at 4-16
-                    # CPUs (driver-serial per-task pickling).  The loop below
-                    # is ~2.5 s/crawl at 8 CPUs — cheaper than every
-                    # ship-it-to-workers variant tried.
-                    tbl = ray.get(block_ref)
-                    if tbl.num_rows == 0 or "url" not in tbl.schema.names:
-                        continue
-                    urls = tbl.column("url").to_pylist()
-                    ranks_all = np.fromiter(
-                        (rank_of.get(u, -1) for u in urls),
-                        dtype=np.int64,
-                        count=len(urls),
-                    )
-                    rows = np.nonzero(ranks_all >= 0)[0].astype(np.int64)
-                    ranks = ranks_all[rows]
-                    sigs = None
-                    if normalize:
-                        sigs = (
-                            tbl.column("signature")
-                            .to_numpy(zero_copy_only=False)[rows]
-                            .astype(np.uint64, copy=False)
-                        )
-                    blocks.append((block_ref, rows, ranks, sigs))
-        synth_urls = missing + [u for u, _, _ in synth]
-        if synth_urls:
-            ranks = np.fromiter(
-                (rank_of.get(u, -1) for u in synth_urls),
-                dtype=np.int64,
-                count=len(synth_urls),
-            )
-            ranks = ranks[ranks >= 0]
-            sigs = (
-                np.full(len(ranks), _EMPTY_SIG, dtype=np.uint64) if normalize else None
-            )
-            blocks.append((None, None, ranks, sigs))
+            rows = np.nonzero(ranks_all >= 0)[0].astype(np.int64)
+            sigs = None
+            if normalize:
+                sigs = (
+                    tbl.column("signature")
+                    .to_numpy(zero_copy_only=False)[rows]
+                    .astype(np.uint64, copy=False)
+                )
+            blocks.append((block_ref, rows, ranks_all[rows], sigs))
+
+        self._fetch_parse(admitted, wave, ["url", "signature", "links"], pages, on_block)
         return blocks
 
     def _allowed_ranks_from_blocks(self, blocks, signatures):
@@ -1044,50 +845,49 @@ class RayCrawler:
             return np.sort(all_ranks[order][first & fresh])
         return np.sort(all_ranks)
 
-    def _candidates_fast_stream(self, admitted, wave, signatures):
+    def _candidates_fast_stream(self, admitted, wave, signatures, pages):
         """Raw-task candidate extraction for the streaming (HostGate) mode:
-        streaming fetch+parse, numpy gate, per-block flatten tasks, then one
+        fetch+parse, numpy gate, one-shard flatten tasks, then one
         driver-side rank sort + global first-push dedup.  The heavy link
         columns never reach the driver (flatten ships (url, key, rank))."""
-        import numpy as np
         import pyarrow.compute as pc
         import ray
 
-        blocks = self._fetch_parse_wave_stream(admitted, wave)
+        blocks = self._fetch_parse_ranked(admitted, wave, pages)
         if not blocks:
             return None
         allowed_ranks = self._allowed_ranks_from_blocks(blocks, signatures)
-        flat_futs = [
-            _flatten_remote().remote(block_ref, rows[mask], ranks[mask])
+        flatten = _flatten_sharded_remote(1)
+        flat_refs = [
+            flatten.remote(block_ref, rows[mask], ranks[mask], 1)
             for block_ref, rows, ranks, mask in _iter_allowed_blocks(blocks, allowed_ranks)
         ]
-        if not flat_futs:
+        if not flat_refs:
             return None
-        parts = [p for p in ray.get(flat_futs) if p is not None and p.num_rows]
+        self.frontier_ops += sum(ray.get([count for _, count in flat_refs]))
+        parts = [p for p in ray.get([part for part, _ in flat_refs]) if p is not None]
         if not parts:
             return None
         merged = pa.concat_tables(parts)
-        self.frontier_ops += int(sum(t.column("n_raw")[0].as_py() for t in parts))
         # exact global first-push dedup: stable order by rank, keep first key
         order = pc.sort_indices(merged, sort_keys=[("rank", "ascending")])
         merged = merged.take(order)
         merged = merged.filter(pa.array(_first_seen_mask(merged.column("key"))))
-        return merged  # columns: url, key, rank, n_raw
+        return merged  # columns: url, key, rank
 
-    def _wave_sharded(self, admitted, wave, pool, signatures, want_candidates):
-        """One wave through the sharded AdmissionPool: streaming fetch+parse
-        (per-block rank/sig extraction overlapped with the parse stage) →
+    def _wave_sharded(self, admitted, wave, pool, signatures, want_candidates, pages):
+        """One wave through the sharded AdmissionPool: fetch+parse
+        (per-block rank/sig extraction overlapped with the parse tasks) →
         numpy signature gate → sharded flatten tasks shipping candidate
         parts straight to their shards → shard-local admit → merged
         canonical order.
 
         → (next_admitted, next_hosts, n_raw_candidates, cand_for_ckpt)."""
-        import numpy as np
         import ray
 
         from ..semantics import depth_distance_for
 
-        blocks = self._fetch_parse_wave_stream(admitted, wave)
+        blocks = self._fetch_parse_ranked(admitted, wave, pages)
         count_refs = []
         if blocks:
             allowed_ranks = self._allowed_ranks_from_blocks(blocks, signatures)
@@ -1106,7 +906,7 @@ class RayCrawler:
         return next_admitted, next_hosts, n_raw, cand
 
     def _run_fast_sharded(self, resume: bool = False) -> CrawlResult:
-        """Fast-path crawl with SHARDED admission: the per-wave candidate
+        """Simple-config crawl with SHARDED admission: the per-wave candidate
         sort/dedup/score/seen fold runs inside ``num_seen_shards`` actors
         that also own the seen-set partitions (zero seen round-trips), or,
         at one shard, in the driver on fetched flatten parts; the
@@ -1158,20 +958,14 @@ class RayCrawler:
         timed_out = False
         while admitted:
             next_admitted, next_hosts, n_raw, cand_ckpt = self._wave_sharded(
-                admitted, wave, pool, signatures, want_cand
+                admitted, wave, pool, signatures, want_cand, result.pages_tables
             )
             result.metrics.append(
                 {"wave": wave, "admitted": len(admitted), "fetched": len(admitted),
                  "candidates": n_raw}
             )
             if wave != resume_wave:
-                self._ckpt_wave_fast(
-                    wave,
-                    pa.array(cand_ckpt or [], pa.string()) if want_cand else None,
-                    signatures,
-                    pool,
-                    result.metrics,
-                )
+                self._ckpt_wave_fast(wave, cand_ckpt, signatures, pool, result.metrics)
             timed_out = (
                 config.crawl_timeout_s is not None
                 and _time.monotonic() - t_start >= config.crawl_timeout_s
@@ -1198,11 +992,13 @@ class RayCrawler:
         if self.collect_seen:
             result.seen_keys = pool.dump()
         pool.shutdown()
-        if self._index_pool is not None:
-            if hasattr(self._index_pool, "shutdown"):
-                self._index_pool.shutdown()
-            self._index_pool = None
+        self._close_index_pool()
         return result
+
+    def _close_index_pool(self) -> None:
+        if hasattr(self._index_pool, "shutdown"):
+            self._index_pool.shutdown()
+        self._index_pool = None
 
     # -- streaming admission (HostGate actor-pool frontier) ------------------
 
@@ -1264,7 +1060,7 @@ class RayCrawler:
         push_futs: list = []
         while admitted:
             t_wave = _time.monotonic()
-            merged = self._candidates_fast_stream(admitted, wave, signatures)
+            merged = self._candidates_fast_stream(admitted, wave, signatures, result.pages_tables)
             if self.adaptive_politeness:
                 per_url = (_time.monotonic() - t_wave) / max(1, len(admitted))
                 gate.record_latency(admitted_hosts, [per_url] * len(admitted_hosts))
@@ -1323,18 +1119,16 @@ class RayCrawler:
         result.seen_keys = seen.dump() if self.collect_seen else set()
         gate.shutdown()
         seen.shutdown()
-        if self._index_pool is not None:
-            if hasattr(self._index_pool, "shutdown"):
-                self._index_pool.shutdown()
-            self._index_pool = None
+        self._close_index_pool()
         return result
 
     # -- main loop -----------------------------------------------------------
 
     def run(self, resume: bool = False) -> CrawlResult:
-        # simple configs with no page materialization take the sharded
-        # admission path — the layout that scales past one driver
-        if self._simple_config() and not self.keep_pages and not self.out_dir:
+        """Run the crawl: simple configs in the sharded executor, every
+        other config in the ordered driver fold below (budget, robots,
+        politeness, filters, hooks and queue injection)."""
+        if self._simple_config():
             return self._run_fast_sharded(resume)
 
         import time as _time
@@ -1357,27 +1151,16 @@ class RayCrawler:
             return robots_delays.get(host, config.delay_ms)
 
         resume_wave = manifest["wave"] if manifest else None
-        fast = self._simple_config()
-        resume_flat = None
 
-        if resume_wave is not None and fast:
+        if resume_wave is not None:
             candidates, deferred = self._restore(resume_wave, seen, budget, signatures, result)
-            resume_flat = pa.array([u for u, _ in candidates], pa.string())
-            candidates = None
             wave = resume_wave
             admitted: list[str] = []
-        elif resume_wave is not None:
-            candidates, deferred = self._restore(resume_wave, seen, budget, signatures, result)
-            wave = resume_wave
-            admitted = []
         else:
             # wave 0: seed establish (shared with the oracle)
             visited_seed: set[str] = set()
             admitted = _oracle.admit_seeds(self.job, config, robots_for, visited_seed)
-            seen.insert_batch(
-                [u.lower() for u in admitted],
-                [url_host(u) for u in admitted] if fast else None,
-            )
+            seen.insert_batch([u.lower() for u in admitted])
             for seq, url in enumerate(admitted):
                 result.visited.append(url)
                 result.admitted_order.append((0, seq, url))
@@ -1388,62 +1171,42 @@ class RayCrawler:
 
         timed_out = False
         while True:
-            flat_candidates = resume_flat
-            resume_flat = None
             if admitted:
-                if fast:
-                    parsed_tbl = self._fetch_parse_wave(admitted, wave)
-                    if self.keep_pages and parsed_tbl is not None:
-                        result.pages_tables.append(parsed_tbl)
-                    flat_candidates = self._candidates_fast(
-                        parsed_tbl, admitted, signatures, wave
-                    )
-                    n_cand = len(flat_candidates) if flat_candidates is not None else 0
-                    result.metrics.append(
-                        {"wave": wave, "admitted": len(admitted), "fetched": len(admitted),
-                         "candidates": n_cand}
-                    )
-                    candidates = None
-                else:
-                    # on_link_find rewrite at dispatch (website.rs:7652-7658):
-                    # visited keeps the original, fetch/page use the rewrite
-                    hook = config.on_link_find
-                    dispatch = [hook(u) for u in admitted] if hook else admitted
-                    parsed_tbl = self._fetch_parse_wave(dispatch, wave)
-                    if self.keep_pages and parsed_tbl is not None:
-                        result.pages_tables.append(parsed_tbl)
-                    by_url = {}
-                    if parsed_tbl is not None:
-                        blocked_col = (
-                            parsed_tbl.column("blocked_crawl").to_pylist()
-                            if "blocked_crawl" in parsed_tbl.column_names
-                            else [False] * parsed_tbl.num_rows
-                        )
-                        for u, s, l, b in zip(
-                            parsed_tbl.column("url").to_pylist(),
-                            parsed_tbl.column("signature").to_pylist(),
-                            parsed_tbl.column("links").to_pylist(),
-                            blocked_col,
-                        ):
-                            # blocked pages keep their row but contribute no
-                            # links and no signature to the dedup set
-                            by_url[u] = (None, []) if b else (s, l)
-                    pages_in_order = [(du, *by_url.get(du, (None, []))) for du in dispatch]
-                    candidates = list(deferred)
-                    deferred = []
-                    dup_sig = 0
-                    depth = wave + 1
-                    for url, allowed, links in gate_links_by_signature(
-                        pages_in_order, signatures, config.normalize
+                # on_link_find rewrite at dispatch (website.rs:7652-7658):
+                # visited keeps the original, fetch/page use the rewrite
+                hook = config.on_link_find
+                dispatch = [hook(u) for u in admitted] if hook else admitted
+                parsed_tbl = self._fetch_parse(
+                    dispatch, wave, ["url", "signature", "links", "blocked_crawl"],
+                    result.pages_tables,
+                )
+                by_url = {}
+                if parsed_tbl is not None:
+                    for u, s, l, b in zip(
+                        parsed_tbl.column("url").to_pylist(),
+                        parsed_tbl.column("signature").to_pylist(),
+                        parsed_tbl.column("links").to_pylist(),
+                        parsed_tbl.column("blocked_crawl").to_pylist(),
                     ):
-                        if allowed:
-                            candidates.extend((link, score_url(link, depth)) for link in links)
-                        else:
-                            dup_sig += 1
-                    result.metrics.append(
-                        {"wave": wave, "admitted": len(admitted), "fetched": len(admitted),
-                         "dup_signature": dup_sig, "candidates": len(candidates)}
-                    )
+                        # blocked pages keep their row but contribute no
+                        # links and no signature to the dedup set
+                        by_url[u] = (None, []) if b else (s, l)
+                pages_in_order = [(du, *by_url.get(du, (None, []))) for du in dispatch]
+                candidates = list(deferred)
+                deferred = []
+                dup_sig = 0
+                depth = wave + 1
+                for url, allowed, links in gate_links_by_signature(
+                    pages_in_order, signatures, config.normalize
+                ):
+                    if allowed:
+                        candidates.extend((link, score_url(link, depth)) for link in links)
+                    else:
+                        dup_sig += 1
+                result.metrics.append(
+                    {"wave": wave, "admitted": len(admitted), "fetched": len(admitted),
+                     "dup_signature": dup_sig, "candidates": len(candidates)}
+                )
             elif candidates is None:
                 # a wave can admit NOTHING while still deferring (politeness
                 # quota filled by candidates that then dropped at the budget
@@ -1458,27 +1221,6 @@ class RayCrawler:
                 config.crawl_timeout_s is not None
                 and _time.monotonic() - t_start >= config.crawl_timeout_s
             )
-            if fast:
-                if wave != resume_wave:  # never rewrite the restored wave's ckpt
-                    self._ckpt_wave_fast(wave, flat_candidates, signatures, seen, result.metrics)
-                if self._control_stop(wave):
-                    result.stopped = True
-                    break
-                if timed_out or flat_candidates is None or len(flat_candidates) == 0 or wave + 1 >= config.max_waves:
-                    break
-                # _admit_fast fires the seen inserts itself (fire-and-overlap:
-                # the round-trip completes while the next wave's fetch+parse
-                # pipeline runs; awaited before the next contains)
-                admitted, admitted_hosts = self._admit_fast(flat_candidates, seen, wave + 1)
-                wave += 1
-                result.visited.extend(admitted)
-                result.admitted_order.extend(
-                    (wave, seq, url) for seq, url in enumerate(admitted)
-                )
-                if not admitted:
-                    break
-                continue
-
             if wave != resume_wave:  # never rewrite the restored wave's ckpt
                 self._ckpt_wave(wave, candidates, deferred, budget, signatures, seen, result.metrics)
 
@@ -1520,12 +1262,6 @@ class RayCrawler:
                 self._ckpt_wave(wave, [], [], budget, signatures, seen, result.metrics)
                 break
 
-        if self._pending_inserts:
-            import ray
-
-            ray.get(self._pending_inserts)
-            self._pending_inserts = []
-
         # --- sitemap chain (website.rs:6975): admitted through the normal
         # chain, fetched+parsed distributed, links NOT expanded.  Skipped on
         # an aborted crawl (shutdown / crawl_timeout): fetching after the stop
@@ -1537,6 +1273,7 @@ class RayCrawler:
         if self.collect_seen:
             result.seen_keys = seen.dump()
         seen.shutdown()
+        self._close_index_pool()
         return result
 
     def _sitemap_chain(self, result, seen, budget, robots_for, sm_wave, signatures=()):
@@ -1564,10 +1301,8 @@ class RayCrawler:
                 return (404, None)
             return (row.column("status")[0].as_py(), row.column("html")[0].as_py())
 
-        # MUST match run()'s fast flag exactly: run() inserts seen keys
-        # host-routed whenever _simple_config() holds (ckpt or not), so the
-        # sitemap chain's contains/insert must route the same way or it reads
-        # the wrong shards and re-admits already-crawled URLs.
+        # simple configs run in the sharded executor, whose AdmissionPool
+        # routes seen keys by host; the ordered fold's UrlSeen routes by key
         fast = self._simple_config()
         candidates = []
         for _, root in _oracle.ScopeRouter(self.job).entries:
@@ -1600,9 +1335,7 @@ class RayCrawler:
             )
             hook = config.on_link_find
             dispatch = [hook(u) for u in admitted] if hook else admitted
-            parsed_tbl = self._fetch_parse_wave(dispatch, sm_wave)
-            if self.keep_pages and parsed_tbl is not None:
-                result.pages_tables.append(parsed_tbl)
+            self._fetch_parse(dispatch, sm_wave, ["url"], result.pages_tables)
             result.metrics.append(
                 {"wave": sm_wave, "admitted": len(admitted), "fetched": len(admitted),
                  "sitemap": True, "candidates": 0}

@@ -69,13 +69,3 @@ def coarse_fanout(floor: int = 64, per_cpu: int = 2, ceil: int = 1 << 14) -> int
     while p < target:
         p <<= 1
     return min(p, ceil)
-
-
-def fixed_pool(floor: int = 4) -> int:
-    """Fixed actor count = max(floor, cluster CPUs) — for the HEAVY stage
-    of a pipeline.  Pair with ``num_cpus=0.5`` so reads/shuffle tasks keep
-    scheduling room.  Measured vs the (min, max) autoscaling pool on the
-    sf0.1 corpus parse: the autoscaler's ramp-up dominates 10-20 s jobs
-    (edge extraction 13.2 s -> 7.8 s, markdown transform 23.4 s -> 12.0 s
-    with a fixed fractional pool)."""
-    return max(floor, cluster_cpus(floor))

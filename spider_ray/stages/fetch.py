@@ -5,13 +5,17 @@ transport (``spider/src/fetcher.rs``, wired ``website.rs:7585-7732``): the
 admitted frontier batch is looked up in the corpus by ``url`` and everything
 else (tracking, robots, scheduling, extraction) stays in the engine.
 
+The index (``CorpusIndex`` in the driver, ``CorpusIndexPool`` sharded over
+actors) splits a wave's urls into read descriptors — one file, the row
+groups holding the wanted urls, the urls — and the crawl runs one
+fetch+parse task per descriptor (``pipelines.crawl._fetch_parse_task_impl``).
+
 Scale design (10¹⁰-URL layout):
 * the corpus is bucketed by ``stable_hash(host) % n_buckets`` and sorted by
-  ``url`` inside each bucket — a wave's fetch reads ONLY the touched buckets,
-  with an ``url ∈ wave_urls`` predicate pushed into the Parquet scan
-  (row-group pruning via min/max url stats + row-level filtering);
-* columns are pruned at the read (``url, warc_ts, html, status``; the golden
-  ``text`` column is never read — the engine re-extracts from html);
+  ``url`` inside each bucket — a wave's fetch reads ONLY the row groups that
+  hold its urls, then filters to them row by row;
+* columns are pruned at the read (``FETCH_COLUMNS``; the golden ``text``
+  column is never read — the engine re-extracts from html);
 * per-host wave quotas (politeness) bound the per-bucket url-list size, so
   the pushed-down filter stays small even at frontier scale.
 """
@@ -20,9 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-
-import pyarrow.compute as pc
-import pyarrow.dataset as pads
 
 from ..hashing import stable_hash_str
 from ..urlnorm import hosts_of_keys_arrow, url_host
@@ -384,48 +385,3 @@ class CorpusIndexPool:
         for s in self.shards:
             ray.kill(s)
         self.shards = []
-
-
-class ReadRowGroups:
-    """map_batches UDF over descriptor rows → fetched page rows.  One
-    descriptor per batch (batch_size=1): opens the file, reads exactly the
-    named row groups, filters to the wanted urls."""
-
-    def __call__(self, batch):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        paths = batch.column("path").to_pylist()
-        rgs_col = batch.column("row_groups").to_pylist()
-        urls_col = batch.column("urls").to_pylist()
-        out = []
-        for path, rgs, urls in zip(paths, rgs_col, urls_col):
-            f = pq.ParquetFile(path)
-            cols = [c for c in FETCH_COLUMNS if c in f.schema_arrow.names]
-            tbl = f.read_row_groups(list(rgs), columns=cols)
-            mask = pc.is_in(tbl.column("url"), value_set=pa.array(urls, pa.string()))
-            out.append(tbl.filter(mask))
-        return pa.concat_tables(out)
-
-
-def fetch_wave_indexed(urls: list[str], index, concurrency: int | None = None):
-    """Index-backed fetch (plain CorpusIndex or CorpusIndexPool — both
-    expose ``split``): returns (Dataset | None, missing_urls).
-
-    ``concurrency`` is the worker-permit cap (configuration.rs:478
-    concurrency_limit; semaphore website.rs:6586) — caps concurrent read
-    tasks; None lets the scheduler saturate the cluster."""
-    import ray.data
-
-    descriptors, missing = index.split(urls)
-    if not descriptors:
-        return None, missing
-    ds = ray.data.from_items(descriptors, override_num_blocks=len(descriptors))
-    # batch_size=None → one task per descriptor block; downstream maps must
-    # also use batch_size=None or Ray's fused operator re-bundles ALL the
-    # one-row descriptor blocks into a single task (serializing the wave)
-    pages = ds.map_batches(
-        ReadRowGroups(), batch_format="pyarrow", batch_size=None,
-        **({"concurrency": concurrency} if concurrency else {}),
-    )
-    return pages, missing

@@ -1,14 +1,16 @@
-"""Parse stage: zero-copy Arrow ``map_batches`` over fetched pages.
+"""Parse stage: fetched page rows → parsed page rows, as Arrow tables.
 
 One pass per page over the html bytes produces links + metadata + signature +
 extracted text — mirroring spider's single streaming rewriter pass
 (``Page::new_page_streaming``, ``page.rs:4641+``: fetch + inline link
 extraction + metadata + signature in one scan).
 
-This is a callable CLASS: the scope selectors / robots config / compiled
-machinery are built once per actor in ``__init__`` and reused per batch
-(actor-pool pattern).  Input batch: (url, html[, status]); output batch drops
-``html`` immediately — wide binary never crosses another stage boundary.
+This is a callable CLASS: the scope selectors / robots config are built once
+in ``__init__``; the crawl ``ray.put``s one instance per wave and every
+fetch+parse task of the wave calls it on its block
+(``pipelines.crawl._fetch_parse_task_impl``).  Input: (url, html[, status,
+content_type]); the output drops ``html`` — wide binary never leaves the
+task.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ PARSED_SCHEMA = pa.schema(
 
 
 class ParsePages:
-    """``map_batches`` UDF (pyarrow in / pyarrow out).  ``wave`` is stamped
+    """Block parser (pyarrow in / pyarrow out).  ``wave`` is stamped
     on every output row (per-partition lineage for checkpoint/resume).
 
     Redirect support: the driver resolves chains pre-fetch, so a fetched row
@@ -68,10 +70,10 @@ class ParsePages:
         self.router = ScopeRouter(job)
         self.backmap = redirect_backmap or {}
         self.targets_only = redirect_targets_only
-        # frontier-only crawls (keep_pages=False refs path) skip the text
+        # crawls that neither keep nor write pages skip the text
         # extraction pass — links/metadata/signature don't need it
         self.want_text = want_text
-        # per-actor resolve memos: host-level scope checks computed once per
+        # per-instance resolve memos: host-level scope checks computed once per
         # (response authority, requested host); crawl_root-based generic
         # joins (absolute/external hrefs) memoized across pages — both
         # page-independent by construction (see parsepage.LinkResolver)

@@ -46,18 +46,12 @@ class SeenShard:
         self.seen = SpillableSeenSet(spill_threshold)
         self._increment: list[str] = []
 
-    def contains_batch(self, keys) -> np.ndarray:
-        """keys: list[str] or pyarrow.Array (worker-side to_pylist keeps the
-        string materialization off the driver).  Returns a numpy bool array.
-        """
-        if not isinstance(keys, list):
-            keys = keys.to_pylist()
+    def contains_batch(self, keys: list[str]) -> np.ndarray:
+        """→ numpy bool array, True where the key was already seen."""
         seen = self.seen
         return np.fromiter((k in seen for k in keys), dtype=bool, count=len(keys))
 
-    def insert_batch(self, keys) -> int:
-        if not isinstance(keys, list):
-            keys = keys.to_pylist()
+    def insert_batch(self, keys: list[str]) -> int:
         add = self.seen.add
         inc = self._increment
         added = 0
@@ -196,36 +190,6 @@ class UrlSeen(ShardSet):
 
     def insert_batch(self, keys: list[str], hosts: list[str] | None = None) -> int:
         return self._insert(keys, hosts)
-
-    def contains_arrow(self, keys_arr, shard_idx):
-        """Arrow fan-out: keys as a pyarrow StringArray + precomputed shard
-        index (numpy).  String materialization happens worker-side."""
-        positions, args = self._arrow_parts(keys_arr, shard_idx)
-        out = np.zeros(len(keys_arr), dtype=bool)
-        for pos, hits in zip(positions, self._call("contains_batch", args)):
-            if hits is not None:
-                out[pos] = hits
-        return out
-
-    def insert_arrow_async(self, keys_arr, shard_idx):
-        """Fire the inserts and return futures — callers may overlap the wave
-        fetch with the insert round-trip and ray.get before the next
-        contains.  The in-driver shard inserts now (no futures)."""
-        return self._call_async("insert_batch", self._arrow_parts(keys_arr, shard_idx)[1])
-
-    def _arrow_parts(self, keys_arr, shard_idx):
-        """→ (positions, args): per shard, the positions of its rows and its
-        ``(keys,)`` call args (None when it has no rows)."""
-        import pyarrow as pa
-
-        if self.num_shards == 1:
-            return [slice(None)], [(keys_arr,) if len(keys_arr) else None]
-        positions, args = [], []
-        for s in range(self.num_shards):
-            pos = np.nonzero(shard_idx == s)[0]
-            positions.append(pos)
-            args.append((keys_arr.take(pa.array(pos)),) if len(pos) else None)
-        return positions, args
 
     def checkpoint_increments(self) -> list[list[str]]:
         return self._call("take_increment")

@@ -89,6 +89,46 @@ def test_parity_distributed_flatten_path(fixture_env, name):
     assert e.admitted_order == o.admitted_order, name
 
 
+def test_crawl_builds_no_dataset(fixture_env, monkeypatch, tmp_path):
+    """Both wave executors fetch+parse with raw Ray tasks: neither the
+    ordered fold (robots + delay, kept pages) nor the sharded executor
+    (simple config, written pages) builds a Ray Dataset."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from spider_ray.pipelines.crawl import RayCrawler
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the crawl built a Ray Dataset")
+
+    monkeypatch.setattr(ray.data, "from_items", refuse)
+    monkeypatch.setattr(ray.data.Dataset, "map_batches", refuse)
+    corpus, cdir = fixture_env
+
+    polite = CrawlJob(
+        (seed_of(0),), CrawlConfig(normalize=True, respect_robots_txt=True, delay_ms=100)
+    )
+    o = crawl_oracle(polite, corpus)
+    e = RayCrawler(polite, cdir, keep_pages=True).run()
+    assert e.admitted_order == o.admitted_order
+    assert sorted(e.pages_table().column("url").to_pylist()) == sorted(p["url"] for p in o.pages)
+
+    simple = CrawlJob((seed_of(0),), CrawlConfig(normalize=True))
+    o = crawl_oracle(simple, corpus)
+    out = str(tmp_path / "out")
+    e = RayCrawler(simple, cdir, out_dir=out, keep_pages=False).run()
+    assert e.admitted_order == o.admitted_order
+    written = [
+        u
+        for f in glob.glob(os.path.join(out, "wave_*", "*.parquet"))
+        for u in pq.read_table(f, columns=["url"]).column("url").to_pylist()
+    ]
+    assert sorted(written) == sorted(p["url"] for p in o.pages)
+
+
 def test_concurrency_limit_is_semantic_noop(fixture_env):
     """concurrency_limit (configuration.rs:478 worker-permit cap) bounds
     stage parallelism but must not change the crawl result — both the

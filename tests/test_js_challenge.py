@@ -34,6 +34,20 @@ def test_challenge_vendor_gates():
     assert challenge_vendor(CF + b" " + AWS) == "cloudflare"
 
 
+def test_challenge_vendor_str_input():
+    """A str page is detected like its UTF-8 bytes, not read as no
+    challenge."""
+    from spider_ray.functions.js_challenge import MAX_BYTES, challenge_vendor
+
+    assert challenge_vendor(CF.decode()) == "cloudflare"
+    assert challenge_vendor(AWS.decode() + " " + CF.decode()) == "aws_waf"
+    assert challenge_vendor("") is None
+    # the size gate counts UTF-8 bytes, not characters
+    assert challenge_vendor("é" * (MAX_BYTES // 2) + CF.decode()) is None
+    # a lone surrogate is not valid UTF-8
+    assert challenge_vendor("\ud800" + CF.decode()) is None
+
+
 def test_report_over_custom_corpus(ray_session, tmp_path):
     from spider_ray.fixtures import write_corpus_parquet
     from spider_ray.functions.js_challenge import (

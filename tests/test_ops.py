@@ -624,6 +624,20 @@ def test_pq_top_k_recall_and_batch_invariance(emb_ds, ray_session):
     )
 
 
+def test_knn_neighbor_ranks_bound():
+    """The composite top-k key holds neighbor ranks in 20 bits: a block of
+    2**20 ids raises (a check, not an assert that -O strips) instead of
+    silently reordering neighbors."""
+    import numpy as np
+
+    from spider_ray.ops.similarity import _neighbor_ranks
+
+    assert _neighbor_ranks(np.array([30, 10, 20])).tolist() == [2, 0, 1]
+    assert len(_neighbor_ranks(np.arange((1 << 20) - 1))) == (1 << 20) - 1
+    with pytest.raises(ValueError, match="2\\*\\*20"):
+        _neighbor_ranks(np.arange(1 << 20))
+
+
 def test_knn_graph_block_invariance(emb_ds, ray_session):
     """Exact k-NN graph must be independent of the block split (the
     block-pair fan-out + coarse co-group top-k is partition-invariant)."""

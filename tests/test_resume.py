@@ -1,7 +1,8 @@
-"""Checkpoint/resume: kill the crawl after wave k, resume from checkpoint,
-and verify the combined outputs equal an uninterrupted run (BASELINE.md
-resumability gate).  Covers BOTH wave executors: the vectorized fast path
-(simple configs) and the ordered fold (budget/politeness configs)."""
+"""Checkpoint/resume: kill the crawl after wave k (or between its page
+write and its checkpoint), resume from checkpoint, and verify the combined
+outputs equal an uninterrupted run (BASELINE.md resumability gate).  Covers
+BOTH wave executors: the sharded executor (simple configs) and the ordered
+driver fold (budget/politeness configs)."""
 
 import glob
 import os
@@ -37,7 +38,10 @@ def _pages_urls(out_dir):
     return urls
 
 
-def _run_kill_resume(env, config, kill_wave=1):
+def _run_kill_resume(env, config, kill_wave=1, before_ckpt=False):
+    """Crash the crawl at wave ``kill_wave``'s checkpoint — after it is
+    written, or with ``before_ckpt`` at its entry (the wave's pages are
+    written, its checkpoint is not) — then resume in a fresh crawler."""
     from spider_ray.pipelines.crawl import RayCrawler
 
     corpus, cdir = env
@@ -51,18 +55,19 @@ def _run_kill_resume(env, config, kill_wave=1):
     crawler = RayCrawler(job, cdir, out_dir=out, ckpt_dir=ckpt)
     orig_slow, orig_fast = crawler._ckpt_wave, crawler._ckpt_wave_fast
 
-    def bomb_slow(wave, *a, **kw):
-        orig_slow(wave, *a, **kw)
-        if wave >= kill_wave:
-            raise _KillAfterWave()
+    def bomb(orig):
+        def ckpt(wave, *a, **kw):
+            if not before_ckpt:
+                orig(wave, *a, **kw)
+            if wave >= kill_wave:
+                raise _KillAfterWave()
+            if before_ckpt:
+                orig(wave, *a, **kw)
 
-    def bomb_fast(wave, *a, **kw):
-        orig_fast(wave, *a, **kw)
-        if wave >= kill_wave:
-            raise _KillAfterWave()
+        return ckpt
 
-    crawler._ckpt_wave = bomb_slow
-    crawler._ckpt_wave_fast = bomb_fast
+    crawler._ckpt_wave = bomb(orig_slow)
+    crawler._ckpt_wave_fast = bomb(orig_fast)
     with pytest.raises(_KillAfterWave):
         crawler.run()
 
@@ -71,7 +76,7 @@ def _run_kill_resume(env, config, kill_wave=1):
 
 
 def test_kill_and_resume_fast_path(env):
-    """normalize-only config → vectorized fast wave executor with ckpt."""
+    """normalize-only config → sharded wave executor with ckpt."""
     full, full_out, resumed, out, ckpt, job = _run_kill_resume(env, CrawlConfig(normalize=True))
     assert resumed.seen_keys == full.seen_keys
     assert _pages_urls(full_out) == _pages_urls(out)
@@ -86,6 +91,22 @@ def test_kill_and_resume_slow_path(env):
     )
     assert resumed.seen_keys == full.seen_keys
     assert _pages_urls(full_out) == _pages_urls(out)
+
+
+def test_rerun_wave_overwrites_its_pages(env):
+    """A crash between wave 1's page write and its checkpoint re-runs wave
+    1 on resume; the re-run replaces that wave's pages in ``out_dir``
+    instead of adding a second copy of each."""
+    full, full_out, resumed, out, ckpt, job = _run_kill_resume(
+        env, CrawlConfig(normalize=True), before_ckpt=True
+    )
+    written = [
+        u
+        for f in glob.glob(os.path.join(out, "wave_*", "*.parquet"))
+        for u in pq.read_table(f, columns=["url"]).column("url").to_pylist()
+    ]
+    assert sorted(written) == sorted(full.visited)
+    assert resumed.seen_keys == full.seen_keys
 
 
 def test_double_resume_preserves_lineage(env):

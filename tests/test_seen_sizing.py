@@ -2,11 +2,12 @@
 shards, in the driver at one shard.
 
 * in-driver parity: ``num_seen_shards=1`` forced in the 4-CPU test session
-  must reproduce the oracle on every executor (general ``run()``, the
-  sharded executor, stop + resume);
+  must reproduce the oracle on every executor (the ordered ``run()`` fold,
+  the sharded executor with and without kept/written pages, stop + resume);
 * a checkpoint resumes with its own shard count whatever the session size;
 * a 1-CPU session (own Ray cluster in a subprocess) starts no seen or
-  admission actor, and the markdown transform finishes there.
+  admission actor, and the markdown transform and the link-graph ops
+  finish there.
 """
 
 import json
@@ -89,19 +90,46 @@ def test_in_driver_general_run_matches_oracle(env):
     assert res.pages_table().num_rows == len(golden.visited)
 
 
-@pytest.mark.parametrize("cfg", [CrawlConfig(), CrawlConfig(normalize=True, ignore_sitemap=False)])
-def test_in_driver_sharded_executor_matches_oracle(env, cfg):
-    """The sharded executor (simple config, no kept pages) with the
-    admission fold run in the driver on fetched flatten parts."""
+@pytest.mark.parametrize(
+    "cfg,pages",
+    [
+        (CrawlConfig(), False),
+        (CrawlConfig(normalize=True, ignore_sitemap=False), False),
+        (CrawlConfig(normalize=True, ignore_sitemap=False), True),
+    ],
+    ids=["cfg0", "cfg1", "cfg2"],
+)
+def test_in_driver_sharded_executor_matches_oracle(env, cfg, pages, tmp_path):
+    """The sharded executor (every simple config) with the admission fold
+    run in the driver on fetched flatten parts; with ``pages`` it also
+    keeps the pages and writes them to ``out_dir``."""
+    import glob
+
+    import pyarrow.parquet as pq
+
     corpus, cdir = env
     job = CrawlJob(tuple(seed_of(k) for k in range(4)), cfg)
     golden = crawl_oracle(job, corpus)
-    crawler = _crawler(job, cdir, num_seen_shards=1, keep_pages=False, collect_seen=True)
+    out_dir = str(tmp_path / "out") if pages else None
+    crawler = _crawler(
+        job, cdir, num_seen_shards=1, keep_pages=pages, out_dir=out_dir, collect_seen=True
+    )
     assert crawler._simple_config()
     res = crawler.run()
     assert res.seen_shards == 1
     assert res.admitted_order == golden.admitted_order
     assert res.seen_keys == golden.visited_set
+    if pages:
+        want = {p["url"]: p["text"] for p in golden.pages}
+        kept = res.pages_table()
+        assert dict(zip(kept.column("url").to_pylist(), kept.column("text").to_pylist())) == want
+        written = {}
+        for f in glob.glob(os.path.join(out_dir, "wave_*", "*.parquet")):
+            t = pq.read_table(f, columns=["url", "text"])
+            for u, x in zip(t.column("url").to_pylist(), t.column("text").to_pylist()):
+                assert u not in written, u
+                written[u] = x
+        assert written == want
 
 
 def _stop_at_wave_1(job, cdir, ckpt, **kw):
@@ -173,6 +201,7 @@ from ray._private.state import actors
 from spider_ray.config import CrawlConfig, CrawlJob
 from spider_ray.fixtures import build_corpus, seed_of, write_corpus_parquet
 from spider_ray.markdown import transform_corpus, transform_html
+from spider_ray.ops.linkgraph import host_link_edges, top_backlinks
 from spider_ray.pipelines.crawl import RayCrawler
 
 ray.init(address="local", num_cpus=1, include_dashboard=False, log_to_driver=False)
@@ -190,9 +219,12 @@ got = {{r["url"]: r["content"]
 want = {{r["url"]: transform_html(r["html"], "markdown") for r in rows
          if r["url"] in set(polite.visited) and r["status"] == 200
          and not r["url"].endswith(("robots.txt", "sitemap.xml"))}}
+edges = host_link_edges(cdir, use_cache=False).count()
+backlinks = top_backlinks(cdir, k=5).num_rows
 print(json.dumps({{"shards": [fast.seen_shards, polite.seen_shards], "actor_classes": classes,
                   "visited": [len(fast.visited), len(polite.visited)],
-                  "transform_equal": got == want, "transformed": len(got)}}))
+                  "transform_equal": got == want, "transformed": len(got),
+                  "edges": edges, "backlinks": backlinks}}))
 ray.shutdown()
 """
 
@@ -200,8 +232,9 @@ ray.shutdown()
 def test_one_cpu_session_starts_no_seen_actor_and_transforms():
     """Its own 1-CPU Ray cluster: both executors keep the seen state in the
     driver (no seen/admission actor in the GCS actor table), and
-    transform_corpus (which used to wait forever for CPUs its actor pools
-    held) finishes with the sequential converter's output."""
+    transform_corpus, host_link_edges and top_backlinks (which used to wait
+    forever for CPUs their actor pools held) finish, the transform with the
+    sequential converter's output."""
     proc = subprocess.run(
         [sys.executable, "-c", _ONE_CPU_SCRIPT.format(root=ROOT)],
         capture_output=True, text=True, timeout=300,
@@ -213,3 +246,4 @@ def test_one_cpu_session_starts_no_seen_actor_and_transforms():
     assert not SEEN_ACTOR_CLASSES & set(out["actor_classes"])
     assert min(out["visited"]) > 2
     assert out["transformed"] > 0 and out["transform_equal"]
+    assert out["edges"] > 0 and out["backlinks"] == 5
