@@ -309,7 +309,6 @@ def cosine_near_dup(
     threshold: float = 0.4,
     column: str = "embedding",
     id_column: str = "vec_id",
-    concurrency: int = 2,  # kept for API compat; block-pair tasks self-schedule
     target_block_rows: int = 65536,
     max_parallel_pairs: int = 64,
 ):

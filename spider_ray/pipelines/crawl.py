@@ -28,13 +28,18 @@ executor.  Per wave::
         │
         └────────── checkpoint (frontier/seen/budget/metrics)
 
-Checkpoint layout (resume = load latest complete wave; per-partition lineage)::
+Checkpoint layout (resume = load latest complete wave; per-partition lineage),
+one writer (``RayCrawler._ckpt_wave``) for every executor::
 
     ckpt_dir/
-      manifest.json                  {wave, shards, config_hash}
-      wave_{k}/frontier.parquet      next-wave candidates (url, priority)
-      wave_{k}/deferred.parquet      politeness carry-over
-      wave_{k}/seen/shard_{s}.parquet  urls first seen in wave k (incremental)
+      manifest.json                  {wave, num_seen_shards, config_hash, redirect state}
+      wave_{k}/frontier.parquet      next-wave candidates: (url, priority) from the
+                                     ordered fold; url only from the sharded executor
+                                     (priority is a function of the url)
+      wave_{k}/deferred.parquet      politeness carry-over (ordered fold only)
+      wave_{k}/seen/shard_{s}.parquet  urls first seen in wave k (incremental); resume
+                                     reads every shard file and re-routes each key by
+                                     host, so the file a key sits in does not matter
       wave_{k}/budget.json           budget counters + signature set
       wave_{k}/metrics.json
     out_dir/wave_{k}/part-{i}.parquet  parsed pages of descriptor i (wave lineage column)
@@ -43,6 +48,7 @@ Checkpoint layout (resume = load latest complete wave; per-partition lineage)::
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import shutil
@@ -58,7 +64,7 @@ from ..semantics import Budget, depth_distance_for
 from ..stages.fetch import corpus_n_buckets
 from ..stages.parse import ParsePages, missing_rows
 from ..hashing import SigSet
-from ..urlnorm import hosts_of_keys_arrow, url_host
+from ..urlnorm import hosts_of_keys_arrow, shard_of_hosts, url_host
 from ..waves import admit_wave, gate_links_by_signature, order_candidates
 from .. import oracle as _oracle
 
@@ -185,14 +191,12 @@ def _flatten_block_sharded_impl(tbl, local_rows, ranks, num_shards):
     """Worker-side candidate flatten: allowed rows' links → (url, key, rank)
     with local first-push dedup.  rank = (page admitted-rank << 21) | doc
     position — a total order identical to the sequential first-push walk.
-    The rows are split by ``hash(host) % num_shards`` so each part ships
+    The rows are split by host (``shard_of_hosts``) so each part ships
     STRAIGHT to its AdmissionShard (the driver only ever touches object
     refs).  Returns ``num_shards`` tables (None when empty) + the raw
     candidate count."""
     import numpy as np
     import pyarrow.compute as pc
-
-    from ..hashing import stable_hash_str
 
     links = tbl.column("links").combine_chunks().take(pa.array(local_rows, pa.int64()))
     flat = pc.list_flatten(links)
@@ -219,15 +223,7 @@ def _flatten_block_sharded_impl(tbl, local_rows, ranks, num_shards):
     )
     if num_shards == 1:
         return out, total
-    hosts = hosts_of_keys_arrow(out.column("key"))
-    enc = pc.dictionary_encode(hosts)
-    if isinstance(enc, pa.ChunkedArray):
-        enc = enc.combine_chunks()
-    uniq = enc.dictionary.to_pylist()
-    shard_of_u = np.fromiter(
-        (stable_hash_str(h) % num_shards for h in uniq), dtype=np.int64, count=len(uniq)
-    )
-    shard_idx = shard_of_u[enc.indices.to_numpy(zero_copy_only=False)]
+    shard_idx = shard_of_hosts(hosts_of_keys_arrow(out.column("key")), num_shards)
     parts = []
     for s in range(num_shards):
         pos = np.nonzero(shard_idx == s)[0]
@@ -251,6 +247,15 @@ def _flatten_sharded_remote(num_shards: int):
 from ..htmlparse import hash_html as _hash_html  # noqa: E402
 
 _EMPTY_SIG = _hash_html("")
+
+
+def _pairs_table(pairs) -> pa.Table:
+    """The ordered fold's (url, priority) pairs as a checkpoint frontier /
+    deferred table."""
+    return pa.table({
+        "url": pa.array([u for u, _ in pairs], pa.string()),
+        "priority": pa.array([p for _, p in pairs], pa.int32()),
+    })
 
 
 def _atomic_write_json(path: str, obj) -> None:
@@ -477,29 +482,19 @@ class RayCrawler:
 
     # -- checkpointing -------------------------------------------------------
 
-    def _ckpt_wave(self, wave, candidates, deferred, budget, signatures, seen, metrics):
+    def _ckpt_wave(self, wave, frontier, deferred, budget, signatures, seen, metrics):
+        """Write wave ``wave``'s checkpoint — the one writer of every
+        executor.  ``frontier`` / ``deferred`` are tables
+        (:func:`_pairs_table`); the sharded executor passes a url-only
+        frontier (priorities are a function of the url, recomputed on
+        resume) and ``deferred=None`` (no file)."""
         if not self.ckpt_dir:
             return
         wdir = os.path.join(self.ckpt_dir, f"wave_{wave:05d}")
         os.makedirs(os.path.join(wdir, "seen"), exist_ok=True)
-        pq.write_table(
-            pa.table(
-                {
-                    "url": [u for u, _ in candidates],
-                    "priority": pa.array([p for _, p in candidates], pa.int32()),
-                }
-            ),
-            os.path.join(wdir, "frontier.parquet"),
-        )
-        pq.write_table(
-            pa.table(
-                {
-                    "url": [u for u, _ in deferred],
-                    "priority": pa.array([p for _, p in deferred], pa.int32()),
-                }
-            ),
-            os.path.join(wdir, "deferred.parquet"),
-        )
+        pq.write_table(frontier, os.path.join(wdir, "frontier.parquet"))
+        if deferred is not None:
+            pq.write_table(deferred, os.path.join(wdir, "deferred.parquet"))
         for s, inc in enumerate(seen.checkpoint_increments()):
             pq.write_table(
                 pa.table({"url_norm": inc, "wave": pa.array([wave] * len(inc), pa.int32())}),
@@ -513,34 +508,6 @@ class RayCrawler:
         _atomic_write_json(
             os.path.join(self.ckpt_dir, "manifest.json"),
             {"wave": wave, "num_seen_shards": self.num_seen_shards,
-             "config_hash": self._config_hash(), **self._redirect_state()},
-        )
-
-    def _ckpt_wave_fast(self, wave, frontier_urls, signatures, seen, metrics):
-        """Sharded-executor checkpoint: frontier as a flat url column
-        (priorities are a deterministic function of the url, recomputed on
-        resume)."""
-        if not self.ckpt_dir:
-            return
-        wdir = os.path.join(self.ckpt_dir, f"wave_{wave:05d}")
-        os.makedirs(os.path.join(wdir, "seen"), exist_ok=True)
-        pq.write_table(
-            pa.table({"url": pa.array(frontier_urls or [], pa.string())}),
-            os.path.join(wdir, "frontier.parquet"),
-        )
-        for s, inc in enumerate(seen.checkpoint_increments()):
-            pq.write_table(
-                pa.table({"url_norm": inc, "wave": pa.array([wave] * len(inc), pa.int32())}),
-                os.path.join(wdir, "seen", f"shard_{s:03d}.parquet"),
-            )
-        _atomic_write_json(
-            os.path.join(wdir, "budget.json"),
-            {"budget": {"counters": None}, "signatures": sorted(signatures)},
-        )
-        _atomic_write_json(os.path.join(wdir, "metrics.json"), metrics)
-        _atomic_write_json(
-            os.path.join(self.ckpt_dir, "manifest.json"),
-            {"wave": wave, "num_seen_shards": self.num_seen_shards, "mode": "fast",
              "config_hash": self._config_hash(), **self._redirect_state()},
         )
 
@@ -565,10 +532,14 @@ class RayCrawler:
 
     def _config_hash(self) -> str:
         """Deterministic hash of everything that shapes checkpoint layout:
-        the job (seeds + frozen config repr), shard count, and fast/non-fast
-        mode (shard-routing scheme + whether frontier priorities are stored).
-        Hook callables are hashed by qualname (function reprs carry memory
-        addresses that change between runs)."""
+        the job (seeds + frozen config repr), shard count, and which executor
+        wrote it (``_simple_config``: whether frontier priorities and the
+        deferred file are stored).  Shard routing is no input: every executor
+        routes seen keys by host, and resume re-routes whatever the shard
+        files hold.  The inputs are unchanged from when the executors routed
+        differently, so those checkpoints still match.  Hook callables are
+        hashed by qualname (function reprs carry memory addresses that change
+        between runs)."""
         import hashlib
         from dataclasses import replace as _rep
 
@@ -622,9 +593,9 @@ class RayCrawler:
         if stored is not None and stored != self._config_hash():
             raise ValueError(
                 "checkpoint config mismatch: the checkpoint at "
-                f"{self.ckpt_dir} was written under a different config/mode "
-                "(resuming would mix shard-routing schemes); start a fresh "
-                "ckpt_dir or restore the original config"
+                f"{self.ckpt_dir} was written under a different config, shard "
+                "count or executor; start a fresh ckpt_dir or restore the "
+                "original config"
             )
         return manifest
 
@@ -633,14 +604,16 @@ class RayCrawler:
         manifest = self._read_manifest()
         if manifest is not None:
             self._restore_redirect_state(manifest)
-        per_shard: list[list[str]] = [[] for _ in range(self.num_seen_shards)]
+        keys: list[str] = []
         for w in range(upto_wave + 1):
-            wdir = os.path.join(self.ckpt_dir, f"wave_{w:05d}")
-            for s in range(self.num_seen_shards):
-                p = os.path.join(wdir, "seen", f"shard_{s:03d}.parquet")
-                if os.path.exists(p):
-                    per_shard[s].extend(pq.read_table(p).column("url_norm").to_pylist())
-        seen.restore(per_shard)
+            for p in sorted(glob.glob(os.path.join(
+                self.ckpt_dir, f"wave_{w:05d}", "seen", "shard_*.parquet"
+            ))):
+                keys.extend(pq.read_table(p).column("url_norm").to_pylist())
+        # the facade routes each key to its host's shard: a checkpoint's file
+        # index is not trusted (an ordered-fold checkpoint written while that
+        # executor routed by url key holds keys in other shards' files)
+        seen.restore(keys)
         wdir = os.path.join(self.ckpt_dir, f"wave_{upto_wave:05d}")
         with open(os.path.join(wdir, "budget.json")) as f:
             b = json.load(f)
@@ -882,7 +855,7 @@ class RayCrawler:
         parts straight to their shards → shard-local admit → merged
         canonical order.
 
-        → (next_admitted, next_hosts, n_raw_candidates, cand_for_ckpt)."""
+        → (next_admitted, n_raw_candidates, cand_for_ckpt)."""
         import ray
 
         from ..semantics import depth_distance_for
@@ -898,12 +871,12 @@ class RayCrawler:
                 )
                 pool.accept_parts(refs[:-1])
                 count_refs.append(refs[-1])
-        next_admitted, next_hosts, cand = pool.finalize_wave(
+        next_admitted, cand = pool.finalize_wave(
             depth_distance_for(self.config), wave + 1, want_candidates
         )
         n_raw = sum(ray.get(count_refs)) if count_refs else 0
         self.frontier_ops += n_raw
-        return next_admitted, next_hosts, n_raw, cand
+        return next_admitted, n_raw, cand
 
     def _run_fast_sharded(self, resume: bool = False) -> CrawlResult:
         """Simple-config crawl with SHARDED admission: the per-wave candidate
@@ -935,7 +908,7 @@ class RayCrawler:
             candidates, _ = self._restore(resume_wave, pool, budget, signatures, result)
             wave = resume_wave
             pool.push_candidates([u for u, _ in candidates])
-            admitted, admitted_hosts, _ = pool.finalize_wave(
+            admitted, _ = pool.finalize_wave(
                 depth_distance_for(config), wave + 1, False
             )
             if admitted and wave + 1 < config.max_waves:
@@ -949,7 +922,7 @@ class RayCrawler:
         else:
             visited_seed: set[str] = set()
             admitted = _oracle.admit_seeds(self.job, config, lambda u: None, visited_seed)
-            pool.insert_batch([u.lower() for u in admitted], [url_host(u) for u in admitted])
+            pool.insert_batch([u.lower() for u in admitted])
             for seq, url in enumerate(admitted):
                 result.visited.append(url)
                 result.admitted_order.append((0, seq, url))
@@ -957,7 +930,7 @@ class RayCrawler:
 
         timed_out = False
         while admitted:
-            next_admitted, next_hosts, n_raw, cand_ckpt = self._wave_sharded(
+            next_admitted, n_raw, cand_ckpt = self._wave_sharded(
                 admitted, wave, pool, signatures, want_cand, result.pages_tables
             )
             result.metrics.append(
@@ -965,7 +938,8 @@ class RayCrawler:
                  "candidates": n_raw}
             )
             if wave != resume_wave:
-                self._ckpt_wave_fast(wave, cand_ckpt, signatures, pool, result.metrics)
+                frontier = pa.table({"url": pa.array(cand_ckpt or [], pa.string())})
+                self._ckpt_wave(wave, frontier, None, budget, signatures, pool, result.metrics)
             timed_out = (
                 config.crawl_timeout_s is not None
                 and _time.monotonic() - t_start >= config.crawl_timeout_s
@@ -1018,8 +992,8 @@ class RayCrawler:
 
         from ..frontier import score_urls_arrow
         from ..semantics import depth_distance_for
+        from ..state.admission import AdmissionPool
         from ..state.hostgate import HostGate
-        from ..state.seen import UrlSeen
 
         config = self.config
         # budget is a globally-ordered fold (driver path only); robots IS
@@ -1038,7 +1012,7 @@ class RayCrawler:
         import time as _time
 
         result = CrawlResult(out_dir=self.out_dir, seen_shards=self._resolve_seen_shards(False))
-        seen = UrlSeen(self.num_seen_shards, spill_threshold=self.seen_spill_threshold)
+        seen = AdmissionPool(self.num_seen_shards, spill_threshold=self.seen_spill_threshold)
         gate = HostGate(self.num_seen_shards, adaptive=self.adaptive_politeness)
         signatures = SigSet()
 
@@ -1051,7 +1025,7 @@ class RayCrawler:
         visited_seed: set[str] = set()
         admitted = _oracle.admit_seeds(self.job, config, robots_for, visited_seed)
         admitted_hosts = [url_host(u) for u in admitted]
-        seen.insert_batch([u.lower() for u in admitted], admitted_hosts)
+        seen.insert_batch([u.lower() for u in admitted])
         for seq, url in enumerate(admitted):
             result.visited.append(url)
             result.admitted_order.append((0, seq, url))
@@ -1085,7 +1059,7 @@ class RayCrawler:
                     prios = score_urls_arrow(tbl.column("url").combine_chunks(), wave + 1)
                     urls_py = tbl.column("url").to_pylist()
                     hosts_py = hosts_arr.to_pylist()
-                    mask = seen.contains_batch([u.lower() for u in urls_py], hosts_py)
+                    mask = seen.contains_batch([u.lower() for u in urls_py])
                     ua = config.user_agent or "*"
                     push_urls, push_prios, push_hosts = [], [], []
                     for u, p, h, m in zip(urls_py, prios.tolist(), hosts_py, mask):
@@ -1111,7 +1085,7 @@ class RayCrawler:
             wave += 1
             admitted = [u for u, _ in popped]
             admitted_hosts = [h for _, h in popped]
-            seen.insert_batch([u.lower() for u in admitted], admitted_hosts)
+            seen.insert_batch([u.lower() for u in admitted])
             for seq, url in enumerate(admitted):
                 result.visited.append(url)
                 result.admitted_order.append((wave, seq, url))
@@ -1133,13 +1107,13 @@ class RayCrawler:
 
         import time as _time
 
-        from ..state.seen import UrlSeen
+        from ..state.admission import AdmissionPool
 
         t_start = _time.monotonic()
         config = self.config
         result = CrawlResult(out_dir=self.out_dir, seen_shards=self._resolve_seen_shards(resume))
         manifest = self._find_resume_manifest() if resume else None
-        seen = UrlSeen(self.num_seen_shards, spill_threshold=self.seen_spill_threshold)
+        seen = AdmissionPool(self.num_seen_shards, spill_threshold=self.seen_spill_threshold)
         budget = Budget(config.budget, depth_distance_for(config))
         signatures = SigSet()
         robots_by_host, robots_delays = self._robots()
@@ -1222,7 +1196,8 @@ class RayCrawler:
                 and _time.monotonic() - t_start >= config.crawl_timeout_s
             )
             if wave != resume_wave:  # never rewrite the restored wave's ckpt
-                self._ckpt_wave(wave, candidates, deferred, budget, signatures, seen, result.metrics)
+                self._ckpt_wave(wave, _pairs_table(candidates), _pairs_table(deferred), budget,
+                                signatures, seen, result.metrics)
 
             # mid-crawl queue injection (channel_queue, website.rs:7528-7562)
             budgetless: frozenset[str] = frozenset()
@@ -1259,7 +1234,8 @@ class RayCrawler:
                 result.metrics.append(
                     {"wave": wave, "admitted": 0, "fetched": 0, "dup_signature": 0, "candidates": 0}
                 )
-                self._ckpt_wave(wave, [], [], budget, signatures, seen, result.metrics)
+                self._ckpt_wave(wave, _pairs_table([]), _pairs_table([]), budget, signatures,
+                                seen, result.metrics)
                 break
 
         # --- sitemap chain (website.rs:6975): admitted through the normal
@@ -1277,40 +1253,34 @@ class RayCrawler:
         return result
 
     def _sitemap_chain(self, result, seen, budget, robots_for, sm_wave, signatures=()):
+        import pyarrow.compute as pc
+
         from ..semantics import is_over_depth
         from ..sources.sitemap import collect_sitemap_urls
-        from ..stages.fetch import CorpusIndex
 
         config = self.config
-        if self._index is None:
-            self._index = CorpusIndex(self.corpus_dir)
-        index = self._index
+        index = self._index_pool_get()
 
         def corpus_get(url):
-            hit = index.lookup.get(url)
-            if hit is None:
+            # a one-url split → the row groups holding it (driver or pooled index)
+            descriptors, _ = index.split([url])
+            if not descriptors:
                 return (404, None)
-            import pyarrow as pa
-            import pyarrow.parquet as pq
-
-            fi, rg = hit
-            tbl = pq.ParquetFile(index.paths[fi]).read_row_group(rg, columns=["url", "html", "status"])
-            mask = pa.compute.equal(tbl.column("url"), url)
-            row = tbl.filter(mask)
+            desc = descriptors[0]
+            tbl = pq.ParquetFile(desc["path"]).read_row_groups(
+                desc["row_groups"], columns=["url", "html", "status"]
+            )
+            row = tbl.filter(pc.equal(tbl.column("url"), url))
             if row.num_rows == 0:
                 return (404, None)
             return (row.column("status")[0].as_py(), row.column("html")[0].as_py())
 
-        # simple configs run in the sharded executor, whose AdmissionPool
-        # routes seen keys by host; the ordered fold's UrlSeen routes by key
-        fast = self._simple_config()
         candidates = []
         for _, root in _oracle.ScopeRouter(self.job).entries:
             if root is None:
                 continue
             candidates.extend(collect_sitemap_urls(corpus_get, root, sitemap_path=config.sitemap_url))
-        cand_hosts = [url_host(u) for u in candidates] if fast else None
-        existing = seen.contains_batch([u.lower() for u in candidates], cand_hosts)
+        existing = seen.contains_batch([u.lower() for u in candidates])
         admitted, seq = [], 0
         local_seen = set()
         for url, present in zip(candidates, existing):
@@ -1329,10 +1299,7 @@ class RayCrawler:
             result.admitted_order.append((sm_wave, seq, url))
             seq += 1
         if admitted:
-            seen.insert_batch(
-                [u.lower() for u in admitted],
-                [url_host(u) for u in admitted] if fast else None,
-            )
+            seen.insert_batch([u.lower() for u in admitted])
             hook = config.on_link_find
             dispatch = [hook(u) for u in admitted] if hook else admitted
             self._fetch_parse(dispatch, sm_wave, ["url"], result.pages_tables)
@@ -1344,15 +1311,12 @@ class RayCrawler:
             # this, a resume after a COMPLETED crawl re-admits and re-fetches
             # every sitemap-discovered page (duplicate output rows)
             if self.ckpt_dir:
-                # sharded path: the insert above landed shard-side and no
+                # sharded executor: the insert above landed shard-side and no
                 # finalize_wave follows to drain it — stage it explicitly or
                 # the staged checkpoint below writes EMPTY seen shards
-                if hasattr(seen, "stage_pending_increments"):
-                    seen.stage_pending_increments()
-                if fast:
-                    self._ckpt_wave_fast(sm_wave, None, signatures, seen, result.metrics)
-                else:
-                    self._ckpt_wave(sm_wave, [], [], budget, signatures, seen, result.metrics)
+                seen.stage_pending_increments()
+                self._ckpt_wave(sm_wave, _pairs_table([]), _pairs_table([]), budget, signatures,
+                                seen, result.metrics)
 
 
 def crawl(job: CrawlJob, corpus_dir: str, **kwargs) -> CrawlResult:

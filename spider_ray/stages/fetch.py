@@ -26,14 +26,14 @@ import json
 import os
 
 from ..hashing import stable_hash_str
-from ..urlnorm import hosts_of_keys_arrow, url_host
+from ..urlnorm import hosts_of_keys_arrow, shard_of_hosts, url_host
 
 FETCH_COLUMNS = ["url", "warc_ts", "html", "status", "content_type"]
 
 # urls per fetch descriptor: small enough that a wave's tasks pack evenly
 # across the pool (the tail task bounds wave wall-time), big enough that
 # per-task overhead stays <2% of task runtime
-_DESC_CHUNK = int(os.environ.get("SPIDER_RAY_DESC_CHUNK", "2048"))
+_DESC_CHUNK = 2048
 
 
 def corpus_n_buckets(corpus_dir: str) -> int:
@@ -43,6 +43,34 @@ def corpus_n_buckets(corpus_dir: str) -> int:
 
 def bucket_of(url: str, n_buckets: int) -> int:
     return stable_hash_str(url_host(url)) % n_buckets
+
+
+def split_descriptors(lookup: dict, paths: list[str], urls: list[str]):
+    """→ (descriptors, missing): ``urls`` grouped by the (file, row group)
+    ``lookup`` maps them to.  Each descriptor is one file + the row groups
+    holding its wanted urls, chunked at ``_DESC_CHUNK`` urls — the read unit
+    of ``pipelines.crawl._fetch_parse_task_impl``; urls not in ``lookup``
+    are missing."""
+    missing = []
+    by_file: dict[int, dict[int, list[str]]] = {}
+    for u in urls:
+        hit = lookup.get(u)
+        if hit is None:
+            missing.append(u)
+        else:
+            by_file.setdefault(hit[0], {}).setdefault(hit[1], []).append(u)
+    descriptors = []
+    for fi, groups in sorted(by_file.items()):
+        chunk_rgs, chunk_urls = [], []
+        for rg in sorted(groups):
+            chunk_rgs.append(rg)
+            chunk_urls.extend(groups[rg])
+            if len(chunk_urls) >= _DESC_CHUNK:
+                descriptors.append({"path": paths[fi], "row_groups": chunk_rgs, "urls": chunk_urls})
+                chunk_rgs, chunk_urls = [], []
+        if chunk_urls:
+            descriptors.append({"path": paths[fi], "row_groups": chunk_rgs, "urls": chunk_urls})
+    return descriptors, missing
 
 
 def _nonok_rows(tbl, urls, has_flaky):
@@ -77,10 +105,9 @@ class CorpusIndex:
     waves never re-decode row groups they don't need, and URLs absent from
     the corpus resolve to 404 with ZERO I/O.
 
-    Scale path (10¹⁰ urls): this driver-held dict becomes the same
-    host-hash-sharded actor pool as ``UrlSeen`` (the routing key is already
-    ``hash(host)``), with identical lookup semantics; the descriptor fan-out
-    below is unchanged.
+    Scale path (10¹⁰ urls): :class:`CorpusIndexPool` holds the same dict
+    sharded over actors by host, like the seen shards, with identical lookup
+    semantics and the same descriptor split.
     """
 
     def __init__(self, corpus_dir: str):
@@ -149,29 +176,8 @@ class CorpusIndex:
         return {u: u in lk for u in urls}
 
     def split(self, urls: list[str]):
-        """→ (descriptors, missing).  Each descriptor: one file + the row
-        groups holding its wanted urls (chunked ~2048 urls: tasks big enough
-        that per-task scheduling overhead stays <2% of task runtime)."""
-        missing = []
-        by_file: dict[int, dict[int, list[str]]] = {}
-        for u in urls:
-            hit = self.lookup.get(u)
-            if hit is None:
-                missing.append(u)
-            else:
-                by_file.setdefault(hit[0], {}).setdefault(hit[1], []).append(u)
-        descriptors = []
-        for fi, groups in sorted(by_file.items()):
-            chunk_rgs, chunk_urls = [], []
-            for rg in sorted(groups):
-                chunk_rgs.append(rg)
-                chunk_urls.extend(groups[rg])
-                if len(chunk_urls) >= _DESC_CHUNK:
-                    descriptors.append({"path": self.paths[fi], "row_groups": chunk_rgs, "urls": chunk_urls})
-                    chunk_rgs, chunk_urls = [], []
-            if chunk_urls:
-                descriptors.append({"path": self.paths[fi], "row_groups": chunk_rgs, "urls": chunk_urls})
-        return descriptors, missing
+        """→ (descriptors, missing) — :func:`split_descriptors`."""
+        return split_descriptors(self.lookup, self.paths, urls)
 
 
 def _make_index_shard_cls():
@@ -195,30 +201,7 @@ def _make_index_shard_cls():
             return [u in lk for u in urls]
 
         def split(self, urls: list[str], paths: list[str]):
-            missing = []
-            by_file: dict[int, dict[int, list[str]]] = {}
-            for u in urls:
-                hit = self.lookup.get(u)
-                if hit is None:
-                    missing.append(u)
-                else:
-                    by_file.setdefault(hit[0], {}).setdefault(hit[1], []).append(u)
-            descriptors = []
-            for fi, groups in sorted(by_file.items()):
-                chunk_rgs, chunk_urls = [], []
-                for rg in sorted(groups):
-                    chunk_rgs.append(rg)
-                    chunk_urls.extend(groups[rg])
-                    if len(chunk_urls) >= _DESC_CHUNK:
-                        descriptors.append(
-                            {"path": paths[fi], "row_groups": chunk_rgs, "urls": chunk_urls}
-                        )
-                        chunk_rgs, chunk_urls = [], []
-                if chunk_urls:
-                    descriptors.append(
-                        {"path": paths[fi], "row_groups": chunk_rgs, "urls": chunk_urls}
-                    )
-            return descriptors, missing
+            return split_descriptors(self.lookup, paths, urls)
 
     return CorpusIndexShard
 
@@ -228,8 +211,8 @@ _INDEX_SHARD_CLS = None
 
 class CorpusIndexPool:
     """Sharded corpus index: the ``url → (file, row-group)`` lookup lives in
-    ``num_shards`` actors routed by ``hash(host) % num_shards`` (the same
-    partitioning key as the seen/admission shards) — the driver never holds
+    ``num_shards`` actors routed by host (``urlnorm.shard_of_hosts``, the
+    same partitioning as the seen/admission shards) — the driver never holds
     a dict over the whole corpus.
 
     Build: one loader task per corpus file reads ONLY the url (+status,
@@ -279,17 +262,7 @@ class CorpusIndexPool:
                     + (["flaky_until"] if has_flaky else [])
                 tbl = f.read_row_group(rg, columns=cols)
                 url_arr = tbl.column("url")
-                hosts = hosts_of_keys_arrow(pc.utf8_lower(url_arr))
-                enc = pc.dictionary_encode(hosts)
-                if hasattr(enc, "combine_chunks"):
-                    enc = enc.combine_chunks()
-                uniq = enc.dictionary.to_pylist()
-                shard_of_u = np.fromiter(
-                    (stable_hash_str(h) % n_shards for h in uniq),
-                    dtype=np.int64,
-                    count=len(uniq),
-                )
-                shard_idx = shard_of_u[enc.indices.to_numpy(zero_copy_only=False)]
+                shard_idx = shard_of_hosts(hosts_of_keys_arrow(pc.utf8_lower(url_arr)), n_shards)
                 urls = url_arr.to_pylist()
                 for s in range(n_shards):
                     pos = np.nonzero(shard_idx == s)[0]
@@ -320,26 +293,16 @@ class CorpusIndexPool:
         return self.status_of.get(url, 200), self.location_of.get(url)
 
     def _route(self, urls: list[str]):
-        """Vectorized host-hash routing (Arrow regex + dictionary encode —
-        hashing amortized over unique hosts, no per-url python)."""
+        """Host routing (``shard_of_hosts``, vectorized: Arrow regex +
+        hashing once per unique host) → the urls of each shard."""
         import numpy as np
         import pyarrow as pa
         import pyarrow.compute as pc
 
         if not urls:
             return [[] for _ in range(self.num_shards)]
-        arr = pa.array(urls, pa.string())
-        hosts = hosts_of_keys_arrow(pc.utf8_lower(arr))
-        enc = pc.dictionary_encode(hosts)
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.combine_chunks()
-        uniq = enc.dictionary.to_pylist()
-        shard_of_u = np.fromiter(
-            (stable_hash_str(h) % self.num_shards for h in uniq),
-            dtype=np.int64,
-            count=len(uniq),
-        )
-        shard_idx = shard_of_u[enc.indices.to_numpy(zero_copy_only=False)]
+        hosts = hosts_of_keys_arrow(pc.utf8_lower(pa.array(urls, pa.string())))
+        shard_idx = shard_of_hosts(hosts, self.num_shards)
         buckets: list[list[str]] = []
         for s in range(self.num_shards):
             pos = np.nonzero(shard_idx == s)[0]

@@ -4,12 +4,12 @@ Round-1 profiling showed ~15 s/crawl of driver-serial residue at sf0.1: the
 driver concatenated EVERY wave's candidate table, sorted it and deduped it
 centrally.  This pool moves that work into ``num_shards`` stateful actors:
 
-* flatten tasks split their (url, key, rank) candidate output by
-  ``hash(host) % num_shards`` and ship each part DIRECTLY to its shard
+* flatten tasks split their (url, key, rank) candidate output by host
+  (``urlnorm.shard_of_hosts``) and ship each part DIRECTLY to its shard
   (object refs — candidate payloads never land on the driver);
-* each shard owns the seen-set partition for its hosts (set + bloom, the
-  ``UrlSeen`` semantics) so the visited check and insert are local calls —
-  zero seen round-trips per wave;
+* each shard owns the seen-set partition for its hosts (set + bloom,
+  :class:`~spider_ray.state.seen.SeenShard`) so the visited check and insert
+  are local calls — zero seen round-trips per wave;
 * ``finalize_wave`` does rank-sort → first-push dedup → priority scoring →
   depth filter → seen filter → canonical (priority desc, key desc) sort,
   all shard-local and vectorized;
@@ -18,8 +18,12 @@ centrally.  This pool moves that work into ``num_shards`` stateful actors:
   reproduces EXACTLY the global canonical order of the sequential fold.
 
 Dedup correctness: a url's key always hashes to one shard (key → host →
-shard), so shard-local first-push dedup by global rank equals global
-first-push dedup.
+shard, ``urlnorm.shard_of_hosts``), so shard-local first-push dedup by global
+rank equals global first-push dedup.
+
+The pool is also the seen facade of every other executor (the ordered driver
+fold of ``RayCrawler.run`` and ``run_streaming``): ``contains_batch`` /
+``insert_batch`` / ``restore`` route keys by the same host rule.
 
 At one shard (a one-CPU session, ``poolsize.seen_shards``) the pool starts no
 actor: the driver fetches the flatten parts and runs the same
@@ -32,14 +36,14 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from ..hashing import stable_hash_str
-from ..urlnorm import host_of_key, hosts_of_keys_arrow
-from .seen import SeenShard, ShardSet
+from ..urlnorm import hosts_of_keys_arrow, shard_of_hosts
+from .seen import SeenShard
 
 
 class AdmissionState(SeenShard):
-    """One admission + seen shard (hosts with ``hash(host) % N == shard_id``):
-    the seen partition and API of :class:`SeenShard` plus the wave fold.
+    """One admission + seen shard (the hosts ``shard_of_hosts`` maps to
+    ``shard_id``): the seen partition and API of :class:`SeenShard` plus the
+    wave fold.
     ``AdmissionShard`` wraps it with ``ray.remote``; a one-shard pool holds
     it in the driver."""
 
@@ -116,8 +120,6 @@ class AdmissionState(SeenShard):
                 pc.less_equal(pc.count_substring(pathq, "/"), depth_distance),
             )
             tbl = tbl.filter(ok)
-        # hosts vectorized — the one shared routing-host derivation
-        hosts_arr = hosts_of_keys_arrow(tbl.column("key"))
         key_list = tbl.column("key").to_pylist()
         add = self.seen.add
         inc = self._increment
@@ -126,23 +128,20 @@ class AdmissionState(SeenShard):
             if add(key):
                 inc.append(key)
                 keep_rows.append(i)
-        take = pa.array(keep_rows, pa.int64())
-        admitted = pa.table(
-            {
-                "url": tbl.column("url").take(take),
-                "key": tbl.column("key").take(take),
-                "prio": tbl.column("prio").take(take),
-                "host": hosts_arr.take(take),
-            }
-        )
-        return admitted, cand_urls, prior
+        return tbl.take(pa.array(keep_rows, pa.int64())), cand_urls, prior
 
 
 AdmissionShard = ray.remote(AdmissionState)
 
 
-class AdmissionPool(ShardSet):
-    """Driver facade: UrlSeen-compatible seen API + the sharded wave fold."""
+class AdmissionPool:
+    """Driver facade over the seen/admission shards: ``num_shards``
+    ``AdmissionShard`` actors, or at one shard an :class:`AdmissionState`
+    held in this process (``local``; ``shards`` is then empty).  Every
+    executor's seen API (batch fan-out/fan-in, routed by host) plus the
+    sharded executor's wave fold.  Every shard call goes through
+    :meth:`_call` / :meth:`_call_async`, so both layouts share one code
+    path."""
 
     def __init__(
         self,
@@ -150,7 +149,12 @@ class AdmissionPool(ShardSet):
         spill_threshold: int | None = None,
         stage_increments: bool = False,
     ) -> None:
-        super().__init__(AdmissionState, AdmissionShard, num_shards, spill_threshold)
+        self.num_shards = num_shards
+        self.local = AdmissionState(0, spill_threshold) if num_shards == 1 else None
+        self.shards = (
+            [] if self.local is not None
+            else [AdmissionShard.remote(i, spill_threshold) for i in range(num_shards)]
+        )
         self._accept_futs: list = []
         self._pending_parts: list[list] = [[] for _ in range(num_shards)]
         # checkpointing crawls drain each shard's increment at finalize entry
@@ -159,13 +163,82 @@ class AdmissionPool(ShardSet):
         self.stage_increments = stage_increments
         self._staged_incs: list[list[str]] = [[] for _ in range(num_shards)]
 
-    # -- seen facade (host-routed, mirrors UrlSeen fast mode) ---------------
+    # -- shard dispatch -----------------------------------------------------
 
-    def contains_batch(self, keys: list[str], hosts: list[str]) -> list[bool]:
-        return self._contains(keys, hosts)
+    def _call_async(self, method: str, args_by_shard) -> list:
+        """Call ``method(*args)`` on each shard whose ``args_by_shard``
+        entry is not None → the actor futures.  The in-driver shard runs
+        the call now and returns no future."""
+        if self.local is not None:
+            if args_by_shard[0] is not None:
+                getattr(self.local, method)(*args_by_shard[0])
+            return []
+        return [
+            getattr(shard, method).remote(*args)
+            for shard, args in zip(self.shards, args_by_shard)
+            if args is not None
+        ]
 
-    def insert_batch(self, keys: list[str], hosts: list[str]) -> int:
-        return self._insert(keys, hosts)
+    def _call(self, method: str, args_by_shard=None) -> list:
+        """Like :meth:`_call_async` but waits → one result per shard (None
+        for a skipped shard).  ``args_by_shard=None`` calls every shard
+        with no arguments."""
+        if args_by_shard is None:
+            args_by_shard = [()] * self.num_shards
+        if self.local is not None:
+            args = args_by_shard[0]
+            return [None if args is None else getattr(self.local, method)(*args)]
+        got = iter(ray.get(self._call_async(method, args_by_shard)))
+        return [None if args is None else next(got) for args in args_by_shard]
+
+    def _route(self, keys: list[str]) -> list[np.ndarray]:
+        """Positions of the (lowercased url) ``keys`` per shard: the shard
+        of each key's host, ``shard_of_hosts(hosts_of_keys_arrow(keys))`` —
+        the partitioning key of the corpus buckets, the flatten parts and
+        the politeness scheduler too."""
+        if self.num_shards == 1:
+            return [np.arange(len(keys))]
+        ids = shard_of_hosts(hosts_of_keys_arrow(pa.array(keys, pa.string())), self.num_shards)
+        return [np.nonzero(ids == s)[0] for s in range(self.num_shards)]
+
+    def _call_routed(self, method: str, keys: list[str]):
+        """→ (per-shard positions, per-shard results of ``method(keys)``)."""
+        routed = self._route(keys)
+        if self.num_shards == 1:
+            return routed, self._call(method, [(keys,)])
+        args = [([keys[i] for i in pos.tolist()],) if len(pos) else None for pos in routed]
+        return routed, self._call(method, args)
+
+    # -- seen facade --------------------------------------------------------
+
+    def contains_batch(self, keys: list[str]) -> list[bool]:
+        out = np.zeros(len(keys), dtype=bool)
+        for pos, hits in zip(*self._call_routed("contains_batch", keys)):
+            if hits is not None:
+                out[pos] = hits
+        return out.tolist()
+
+    def insert_batch(self, keys: list[str]) -> int:
+        return sum(a for a in self._call_routed("insert_batch", keys)[1] if a is not None)
+
+    def restore(self, keys: list[str]) -> None:
+        """Load checkpointed seen keys, each into the shard of its host
+        (whatever file the checkpoint held it in); not an increment."""
+        self._call_routed("restore", keys)
+
+    def dump(self) -> set[str]:
+        out: set[str] = set()
+        for keys in self._call("dump"):
+            out.update(keys)
+        return out
+
+    def shutdown(self) -> None:
+        for s in self.shards:
+            ray.kill(s)
+        self.shards = []
+        self.local = None
+
+    # -- checkpoint increments ----------------------------------------------
 
     def stage_pending_increments(self) -> None:
         """Drain shard-side increments into the staged buffer so the NEXT
@@ -201,23 +274,17 @@ class AdmissionPool(ShardSet):
         rank=position) rows to their shards."""
         if not urls:
             return
-        per_shard: dict[int, tuple[list, list, list]] = {}
-        for rank, url in enumerate(urls):
-            key = url.lower()
-            s = stable_hash_str(host_of_key(key)) % self.num_shards
-            b = per_shard.setdefault(s, ([], [], []))
-            b[0].append(url)
-            b[1].append(key)
-            b[2].append(rank)
-        for s, (us, ks, rs) in per_shard.items():
-            part = pa.table(
-                {
-                    "url": pa.array(us, pa.string()),
-                    "key": pa.array(ks, pa.string()),
-                    "rank": pa.array(rs, pa.int64()),
-                }
-            )
-            self._pending_parts[s].append(part)
+        keys = [u.lower() for u in urls]
+        tbl = pa.table(
+            {
+                "url": pa.array(urls, pa.string()),
+                "key": pa.array(keys, pa.string()),
+                "rank": pa.array(np.arange(len(urls)), pa.int64()),
+            }
+        )
+        for s, pos in enumerate(self._route(keys)):
+            if len(pos):
+                self._pending_parts[s].append(tbl.take(pa.array(pos, pa.int64())))
 
     def accept_parts(self, per_shard_refs: list) -> None:
         """Queue one flatten task's per-shard output refs (no driver data —
@@ -233,9 +300,9 @@ class AdmissionPool(ShardSet):
         self._pending_parts = [[] for _ in range(self.num_shards)]
 
     def finalize_wave(self, depth_distance: int, wave: int, return_candidates: bool = False):
-        """→ (admitted_urls, admitted_hosts, candidate_urls).
+        """→ (admitted_urls, candidate_urls).
 
-        Admitted lists are in the global canonical order: the per-shard
+        Admitted urls are in the global canonical order: the per-shard
         admitted tables are concatenated and sorted once by (priority desc,
         key desc) — an Arrow C++ sort over admitted rows only."""
         import pyarrow.compute as pc
@@ -254,20 +321,17 @@ class AdmissionPool(ShardSet):
                 if r[2]:
                     self._staged_incs[s].extend(r[2])
         tables = [r[0] for r in results if isinstance(r[0], pa.Table) and r[0].num_rows]
+        admitted_urls = []
         if tables:
             merged = pa.concat_tables(tables)
             idx = pc.sort_indices(
                 merged, sort_keys=[("prio", "descending"), ("key", "descending")]
             )
-            merged = merged.take(idx)
-            admitted_urls = merged.column("url").to_pylist()
-            admitted_hosts = merged.column("host").to_pylist()
-        else:
-            admitted_urls, admitted_hosts = [], []
+            admitted_urls = merged.column("url").take(idx).to_pylist()
         cand = None
         if return_candidates:
             cand = []
             for r in results:
                 if r[1]:
                     cand.extend(r[1])
-        return admitted_urls, admitted_hosts, cand
+        return admitted_urls, cand

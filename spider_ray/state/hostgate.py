@@ -4,8 +4,8 @@ in sharded stateful actors.
 This is the streaming-admission form of the frontier the north star names
 ("sharded ... per-host priority frontier held in actor-pool stateful
 stages"): candidates are PUSHED into the shard owning their host
-(``hash(host) % num_shards`` — the same partitioning key as the corpus
-buckets and ``UrlSeen``), and each wave POPS at most the politeness quota per
+(``urlnorm.shard_of_hosts`` — the same host partitioning as the corpus
+buckets and the seen shards), and each wave POPS at most the politeness quota per
 host in the reference heap order (priority desc, case-insensitive url desc —
 ``frontier.rs:23-29``).  Deferred URLs simply remain queued in the shard —
 politeness carry-over is free.
@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import heapq
 
+import numpy as np
 import ray
 
 from ..frontier import _NegStr
-from ..hashing import stable_hash_str
+from ..urlnorm import shard_of_hosts
 
 
 @ray.remote
@@ -112,33 +113,29 @@ class HostGate:
         if delays:
             ray.get([s.set_delays.remote(delays) for s in self.shards])
 
-    def _shard_for(self, host: str):
-        return self.shards[stable_hash_str(host) % self.num_shards]
+    def _by_shard(self, hosts: list[str], *columns: list):
+        """Yield (shard actor, its rows of each column) for every shard that
+        gets a row; row i goes to the shard of ``hosts[i]``."""
+        ids = shard_of_hosts(hosts, self.num_shards)
+        for s, shard in enumerate(self.shards):
+            pos = np.nonzero(ids == s)[0]
+            if len(pos):
+                yield shard, [[col[i] for i in pos.tolist()] for col in columns]
 
     def record_latency(self, hosts: list[str], secs: list[float]) -> None:
-        by_shard: dict[int, tuple[list, list]] = {}
-        for h, s in zip(hosts, secs):
-            b = by_shard.setdefault(stable_hash_str(h) % self.num_shards, ([], []))
-            b[0].append(h)
-            b[1].append(s)
-        ray.get([self.shards[i].record_latency.remote(hs, ss) for i, (hs, ss) in by_shard.items()])
+        ray.get([
+            shard.record_latency.remote(hs, ss)
+            for shard, (hs, ss) in self._by_shard(hosts, hosts, secs)
+        ])
 
     def penalize(self, host: str, retry_after_s: float = 1.0) -> None:
-        ray.get(self._shard_for(host).penalize.remote(host, retry_after_s))
+        shard = self.shards[int(shard_of_hosts([host], self.num_shards)[0])]
+        ray.get(shard.penalize.remote(host, retry_after_s))
 
     def push(self, urls: list[str], prios: list[int], hosts: list[str]):
-        buckets: dict[int, tuple[list, list, list]] = {}
-        shard_of_host: dict[str, int] = {}
-        for url, prio, host in zip(urls, prios, hosts):
-            s = shard_of_host.get(host)
-            if s is None:
-                s = shard_of_host[host] = stable_hash_str(host) % self.num_shards
-            b = buckets.setdefault(s, ([], [], []))
-            b[0].append(url)
-            b[1].append(prio)
-            b[2].append(host)
         return [
-            self.shards[s].push.remote(us, ps, hs) for s, (us, ps, hs) in buckets.items()
+            shard.push.remote(us, ps, hs)
+            for shard, (us, ps, hs) in self._by_shard(hosts, urls, prios, hosts)
         ]
 
     def pop_wave(self, wave_span_ms: int, default_delay_ms: int) -> list[tuple[str, str]]:

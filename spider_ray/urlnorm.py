@@ -314,12 +314,13 @@ def url_host(url: str) -> str:
     return (parts.hostname or "").lower()
 
 
-# Shard routing contract: a key always hashes to ONE shard, so every path
-# that derives a routing host from a lowercased URL key (driver inserts,
-# flatten tasks, AdmissionShard, CorpusIndexPool) MUST go through
-# host_of_key / hosts_of_keys_arrow below — they are string-level twins of
-# url_host (authority up to the first of /?#, userinfo + port dropped,
-# IPv6 brackets stripped), kept deliberately identical.
+# Shard routing: the crawl state (seen/admission shards, flatten parts,
+# CorpusIndexPool, HostGate) is partitioned by host, and shard_of_hosts below
+# is the one place that maps a host to its shard.  Hosts derived from
+# lowercased URL keys come from host_of_key / hosts_of_keys_arrow — string-level
+# twins of url_host (authority up to the first of /?#, userinfo + port
+# dropped, IPv6 brackets stripped), so a url routes to the same shard whichever
+# of the three derived its host.
 _HOST_OF_KEY_RE = r"^(?:[a-z0-9+.\-]+://)?(?:[^/?#]*@)?(?:\[([^\]]*)\]|([^/?#:]*)).*$"
 
 
@@ -371,6 +372,27 @@ def hosts_of_keys_arrow(keys):
     # mirror replace_substring_regex's layout contract: chunked in -> chunked
     # out (call sites rely on it, e.g. dictionary_encode().combine_chunks())
     return pa.chunked_array([auth]) if chunked_in else auth
+
+
+def shard_of_hosts(hosts, num_shards: int):
+    """Shard id of each host — ``stable_hash_str(host) % num_shards``, the
+    crawl state's one routing rule — as a numpy int64 array.  ``hosts`` is a
+    pyarrow string array or a list; each unique host is hashed once."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from .hashing import stable_hash_str
+
+    enc = pc.dictionary_encode(hosts if isinstance(hosts, (pa.Array, pa.ChunkedArray))
+                               else pa.array(hosts, pa.string()))
+    if isinstance(enc, pa.ChunkedArray):
+        enc = enc.combine_chunks()
+    uniq = enc.dictionary.to_pylist()
+    shard_of_uniq = np.fromiter(
+        (stable_hash_str(h) % num_shards for h in uniq), dtype=np.int64, count=len(uniq)
+    )
+    return shard_of_uniq[enc.indices.to_numpy(zero_copy_only=False)]
 
 
 def url_host_port(url: str) -> tuple[str, int | None]:

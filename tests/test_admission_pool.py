@@ -39,13 +39,16 @@ def test_pooled_index_matches_driver_index(corpus, cfg, ray_session):
 
 
 def test_pooled_mode_keeps_driver_free_of_corpus_dict(corpus, ray_session):
-    _, cdir = corpus
-    job = CrawlJob((seed_of(0),), CrawlConfig())
-    crawler = RayCrawler(job, cdir, keep_pages=False, index_mode="pooled")
-    crawler.run()
-    # the driver-held CorpusIndex (url -> row-group dict over the WHOLE
-    # corpus) must never have been built on the pooled path
-    assert crawler._index is None
+    corpus_dict, cdir = corpus
+    for cfg in (CrawlConfig(), CrawlConfig(ignore_sitemap=False)):
+        job = CrawlJob((seed_of(0),), cfg)
+        crawler = RayCrawler(job, cdir, keep_pages=False, index_mode="pooled")
+        res = crawler.run()
+        # the driver-held CorpusIndex (url -> row-group dict over the WHOLE
+        # corpus) must never have been built on the pooled path — the
+        # sitemap chain's page reads included
+        assert crawler._index is None, cfg
+        assert res.admitted_order == crawl_oracle(job, corpus_dict).admitted_order, cfg
 
 
 def test_pooled_index_handles_redirects(corpus, ray_session):

@@ -8,6 +8,7 @@ import glob
 import os
 import tempfile
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -38,14 +39,16 @@ def _pages_urls(out_dir):
     return urls
 
 
-def _run_kill_resume(env, config, kill_wave=1, before_ckpt=False):
+def _run_kill_resume(env, config, kill_wave=1, before_ckpt=False, seeds=(seed_of(0),),
+                     edit_ckpt=None):
     """Crash the crawl at wave ``kill_wave``'s checkpoint — after it is
     written, or with ``before_ckpt`` at its entry (the wave's pages are
-    written, its checkpoint is not) — then resume in a fresh crawler."""
+    written, its checkpoint is not) — then resume in a fresh crawler
+    (after ``edit_ckpt(ckpt_dir)`` when given)."""
     from spider_ray.pipelines.crawl import RayCrawler
 
     corpus, cdir = env
-    job = CrawlJob((seed_of(0),), config)
+    job = CrawlJob(seeds, config)
 
     full_out = tempfile.mkdtemp(prefix="spider_full_out_")
     full = RayCrawler(job, cdir, out_dir=full_out, collect_seen=True).run()
@@ -53,23 +56,21 @@ def _run_kill_resume(env, config, kill_wave=1, before_ckpt=False):
     out = tempfile.mkdtemp(prefix="spider_kill_out_")
     ckpt = tempfile.mkdtemp(prefix="spider_ckpt_")
     crawler = RayCrawler(job, cdir, out_dir=out, ckpt_dir=ckpt)
-    orig_slow, orig_fast = crawler._ckpt_wave, crawler._ckpt_wave_fast
+    orig = crawler._ckpt_wave
 
-    def bomb(orig):
-        def ckpt(wave, *a, **kw):
-            if not before_ckpt:
-                orig(wave, *a, **kw)
-            if wave >= kill_wave:
-                raise _KillAfterWave()
-            if before_ckpt:
-                orig(wave, *a, **kw)
+    def bomb(wave, *a, **kw):
+        if not before_ckpt:
+            orig(wave, *a, **kw)
+        if wave >= kill_wave:
+            raise _KillAfterWave()
+        if before_ckpt:
+            orig(wave, *a, **kw)
 
-        return ckpt
-
-    crawler._ckpt_wave = bomb(orig_slow)
-    crawler._ckpt_wave_fast = bomb(orig_fast)
+    crawler._ckpt_wave = bomb
     with pytest.raises(_KillAfterWave):
         crawler.run()
+    if edit_ckpt is not None:
+        edit_ckpt(ckpt)
 
     resumed = RayCrawler(job, cdir, out_dir=out, ckpt_dir=ckpt, collect_seen=True).run(resume=True)
     return full, full_out, resumed, out, ckpt, job
@@ -91,6 +92,41 @@ def test_kill_and_resume_slow_path(env):
     )
     assert resumed.seen_keys == full.seen_keys
     assert _pages_urls(full_out) == _pages_urls(out)
+
+
+def _move_seen_keys_to_shard_0(ckpt):
+    """Rewrite every wave's seen files so all its keys sit in
+    ``shard_000.parquet`` (the others empty): a layout that does not follow
+    the routing rule, as checkpoints written under another rule are."""
+    spread = 0
+    for wdir in glob.glob(os.path.join(ckpt, "wave_*")):
+        files = sorted(glob.glob(os.path.join(wdir, "seen", "shard_*.parquet")))
+        assert len(files) == 4
+        tables = [pq.read_table(f) for f in files]
+        spread += sum(t.num_rows > 0 for t in tables[1:])
+        pq.write_table(pa.concat_tables(tables, promote_options="default"), files[0])
+        for f, t in zip(files[1:], tables[1:]):
+            pq.write_table(t.slice(0, 0), f)
+    assert spread, "every key already sat in shard 0"
+
+
+@pytest.mark.parametrize(
+    "config", [CrawlConfig(normalize=True), CrawlConfig(budget=(("sec0", 5),))],
+    ids=["sharded", "ordered"],
+)
+def test_resume_reroutes_seen_keys(env, config):
+    """Resume routes each checkpointed seen key to its host's shard
+    whatever file holds it, so a 4-shard checkpoint with all keys in
+    ``shard_000.parquet`` resumes exactly."""
+    from spider_ray.oracle import crawl_oracle
+
+    full, full_out, resumed, out, ckpt, job = _run_kill_resume(
+        env, config, seeds=tuple(seed_of(i) for i in range(4)),
+        edit_ckpt=_move_seen_keys_to_shard_0,
+    )
+    assert full.seen_shards == resumed.seen_shards == 4
+    assert resumed.admitted_order == [t for t in full.admitted_order if t[0] >= 2]
+    assert resumed.seen_keys == crawl_oracle(job, env[0]).visited_set
 
 
 def test_rerun_wave_overwrites_its_pages(env):

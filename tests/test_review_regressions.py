@@ -91,12 +91,19 @@ HOST_CASES = [
 def test_host_of_key_matches_url_host():
     import pyarrow as pa
 
-    from spider_ray.urlnorm import host_of_key, hosts_of_keys_arrow, url_host
+    from spider_ray.hashing import stable_hash_str
+    from spider_ray.urlnorm import host_of_key, hosts_of_keys_arrow, shard_of_hosts, url_host
 
     keys = [u.lower() for u in HOST_CASES]
     expected = [url_host(u) for u in HOST_CASES]
     assert [host_of_key(k) for k in keys] == expected
-    assert hosts_of_keys_arrow(pa.array(keys)).to_pylist() == expected
+    hosts = hosts_of_keys_arrow(pa.array(keys))
+    assert hosts.to_pylist() == expected
+    # the one routing rule: the shard of a url is the hash of its host
+    for n in (1, 3, 8):
+        want = [stable_hash_str(url_host(u)) % n for u in HOST_CASES]
+        assert shard_of_hosts(hosts, n).tolist() == want
+        assert shard_of_hosts(expected, n).tolist() == want
 
 
 def test_ipv6_candidate_routes_to_seed_shard(ray_session):
@@ -212,8 +219,7 @@ def test_seed_redirect_scope_survives_resume(env):
 
     ckpt = tempfile.mkdtemp(prefix="spider_ckpt_redir_")
     crawler = RayCrawler(job, cdir, ckpt_dir=ckpt, keep_pages=False)
-    orig = crawler._ckpt_wave_fast
-    orig_slow = crawler._ckpt_wave
+    orig = crawler._ckpt_wave
 
     class _Kill(Exception):
         pass
@@ -223,13 +229,7 @@ def test_seed_redirect_scope_survives_resume(env):
         if wave >= 0:
             raise _Kill()
 
-    def bomb_slow(wave, *a, **kw):
-        orig_slow(wave, *a, **kw)
-        if wave >= 0:
-            raise _Kill()
-
-    crawler._ckpt_wave_fast = bomb
-    crawler._ckpt_wave = bomb_slow
+    crawler._ckpt_wave = bomb
     with pytest.raises(_Kill):
         crawler.run()
 
