@@ -425,7 +425,7 @@ def unigram_logprob(ds, text_column: str = "text", id_column: str = "doc_id",
             )
 
     return ds.map_batches(
-        Scorer, batch_format="pyarrow", concurrency=concurrency, num_cpus=0.5
+        Scorer, batch_format="pyarrow", concurrency=(1, concurrency), num_cpus=0.5
     )
 
 
@@ -727,7 +727,7 @@ def bigram_logprob(ds, text_column: str = "text", id_column: str = "doc_id",
             )
 
     return ds.map_batches(
-        Scorer, batch_format="pyarrow", concurrency=concurrency, num_cpus=0.5
+        Scorer, batch_format="pyarrow", concurrency=(1, concurrency), num_cpus=0.5
     )
 
 
